@@ -65,6 +65,13 @@ class HoopArchitecture(IntermittentArchitecture):
         self.committed_log = {}
         self.region_used = 0
         self.gc_count = 0
+        # Incremental view of _pending_updates(), so the per-step
+        # estimate never rescans: block address -> mask of its words
+        # pending in the OOP buffer or a dirty line, plus the total
+        # number of set bits.  Evicting a line into the buffer leaves
+        # the pending set unchanged; backup and power failure empty it.
+        self._pending_masks = {}
+        self._pending_words = 0
 
     def leakage_per_cycle(self):
         return self.energy.cache_leak_cycle
@@ -98,7 +105,7 @@ class HoopArchitecture(IntermittentArchitecture):
 
     def _evict_to_buffer(self, line):
         """Move a dirty line's written words into the volatile OOP buffer."""
-        mask = line.meta.mask if line.meta else (1 << self.words_per_block) - 1
+        mask = line.meta.mask
         words = [i for i in range(self.words_per_block) if mask & (1 << i)]
         new_words = [
             i for i in words if line.block_addr + i * _WORD not in self.oop_buffer
@@ -137,7 +144,12 @@ class HoopArchitecture(IntermittentArchitecture):
         if line is None:
             line = self._miss(block_addr)
             cycles += 4 * self.words_per_block
-        line.meta.mask |= 1 << self.cache.word_index(addr)
+        bit = 1 << self.cache.word_index(addr)
+        line.meta.mask |= bit
+        pending = self._pending_masks.get(block_addr, 0)
+        if not pending & bit:
+            self._pending_masks[block_addr] = pending | bit
+            self._pending_words += 1
         if size == 4:
             self.cache.write_word(line, addr, value)
         else:
@@ -149,7 +161,7 @@ class HoopArchitecture(IntermittentArchitecture):
         """All word updates a backup must persist: buffer + dirty lines."""
         updates = dict(self.oop_buffer)
         for line in self.cache.dirty_lines():
-            mask = line.meta.mask if line.meta else (1 << self.words_per_block) - 1
+            mask = line.meta.mask
             for i in range(self.words_per_block):
                 if mask & (1 << i):
                     addr = line.block_addr + i * _WORD
@@ -174,8 +186,9 @@ class HoopArchitecture(IntermittentArchitecture):
         )
 
     def estimate_backup_cost(self):
-        updates = self._pending_updates()
-        slots = self._slots_needed(updates)
+        # Same slot count as _slots_needed(_pending_updates()), kept
+        # incrementally: JIT asks after every instruction.
+        slots = self._pending_words + len(self._pending_masks)
         cost = (
             slots * self.energy.nvm_write_word
             + Checkpoint.WORDS * self.energy.nvm_write_word
@@ -198,6 +211,10 @@ class HoopArchitecture(IntermittentArchitecture):
     def backup(self, reason):
         updates = self._pending_updates()
         slots = self._slots_needed(updates)
+        assert (len(updates), slots) == (
+            self._pending_words,
+            self._pending_words + len(self._pending_masks),
+        ), "pending-slot count drift"
         if self.region_used + slots > self.region_slots:
             self._collect_garbage("forward_overhead")
         cost = (
@@ -214,6 +231,8 @@ class HoopArchitecture(IntermittentArchitecture):
             line.dirty = False
             line.meta.mask = 0
         self.oop_buffer = {}
+        self._pending_masks = {}
+        self._pending_words = 0
         self.nvm.commit_checkpoint(self.snapshot_payload())
         self.ledger.commit_epoch()
         self.stats.count_backup(reason)
@@ -222,6 +241,8 @@ class HoopArchitecture(IntermittentArchitecture):
     def on_power_failure(self):
         self.cache.clear()
         self.oop_buffer = {}
+        self._pending_masks = {}
+        self._pending_words = 0
 
     def restore(self):
         super().restore()

@@ -1,6 +1,12 @@
 """HOOP: out-of-place redo logging, OOP buffer/region, GC."""
 
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.arch.base import BackupReason
+from repro.cpu.state import Checkpoint
 
 from tests.arch.conftest import load_word, make_arch, store_word
 
@@ -127,3 +133,102 @@ def test_multiple_updates_same_word_keep_latest(data_base):
     arch.on_power_failure()
     arch.restore()
     assert load_word(arch, data_base) == 2
+
+
+# ------------------------------------------- incremental pending slots
+#: A tiny buffer and region, so short streams reach buffer-full
+#: STRUCTURAL backups and region GC.
+_TINY = dict(oop_buffer_entries=4, oop_region_slots=24)
+#: 20 blocks: 10 per set of the default 2-set, 8-way cache, so lines
+#: get evicted into the buffer.
+_SPAN_BYTES = 320
+
+
+def _full_scan_estimate(arch):
+    """The estimate as a rescan of the pending updates."""
+    energy = arch.energy
+    slots = arch._slots_needed(arch._pending_updates())
+    cost = (
+        slots * energy.nvm_write_word
+        + Checkpoint.WORDS * energy.nvm_write_word
+        + energy.backup_commit
+    )
+    if arch.region_used + slots > arch.region_slots:
+        cost += arch._gc_cost()
+    return cost
+
+
+def _assert_pending_counters(arch):
+    updates = arch._pending_updates()
+    masks = {}
+    for addr in updates:
+        block = arch.cache.block_address(addr)
+        masks[block] = masks.get(block, 0) | 1 << arch.cache.word_index(addr)
+    assert arch._pending_masks == masks
+    assert arch._pending_words == len(updates)
+    assert arch._pending_words + len(arch._pending_masks) == arch._slots_needed(
+        updates
+    )
+    assert arch.estimate_backup_cost() == _full_scan_estimate(arch)
+
+
+def _apply(arch, base, op):
+    kind, offset, value = op
+    if kind == "load":
+        arch.load(base + (offset & ~3), 4)
+    elif kind == "load_byte":
+        arch.load(base + offset, 1)
+    elif kind == "store":
+        arch.store(base + (offset & ~3), value, 4)
+    elif kind == "store_byte":
+        arch.store(base + offset, value & 0xFF, 1)
+    elif kind == "conflict":
+        # 8 other blocks of the same set (32 B apart in the default
+        # 2-set cache) evict the line.
+        for i in range(1, 9):
+            arch.load(base + (offset & ~15) + i * 32, 4)
+    elif kind == "backup":
+        arch.backup(BackupReason.POLICY)
+    else:
+        arch.on_power_failure()
+        arch.restore()
+
+
+_OPS = st.tuples(
+    st.sampled_from(
+        ["load", "load_byte", "store", "store", "store_byte", "conflict"]
+        + ["backup", "fail"]
+    ),
+    st.integers(0, _SPAN_BYTES - 1),
+    st.integers(0, 0xFFFFFFFF),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(_OPS, max_size=80))
+def test_pending_counters_match_full_scan(ops):
+    arch = make_arch("hoop", **_TINY)
+    base = arch.layout.data_base
+    arch.backup(BackupReason.INITIAL)
+    _assert_pending_counters(arch)
+    for op in ops:
+        _apply(arch, base, op)
+        _assert_pending_counters(arch)
+
+
+def test_pending_counters_survive_structural_backup_gc_and_failure(data_base):
+    """A fixed stream that provably reaches every path that resets or
+    bypasses the counters: buffer-full backups, region GC (forward and
+    at restore) and power failure."""
+    rng = random.Random(0)
+    arch = make_arch("hoop", **_TINY)
+    arch.backup(BackupReason.INITIAL)
+    kinds = ["load"] * 30 + ["store"] * 50 + ["store_byte"] * 10
+    kinds += ["conflict", "backup", "fail"]
+    for _ in range(3000):
+        op = (rng.choice(kinds), rng.randrange(_SPAN_BYTES), rng.getrandbits(32))
+        _apply(arch, data_base, op)
+        _assert_pending_counters(arch)
+    assert arch.stats.backups_by_reason.get(BackupReason.STRUCTURAL, 0) > 0
+    assert arch.stats.restores > 0
+    assert arch.gc_count > arch.stats.restores  # some GC ran mid-period

@@ -1,7 +1,7 @@
 """The fast path's correctness gate: bit-identity with the reference.
 
-Every registered workload runs under Clank and NvMR with the JIT and
-watchdog policies twice — once on the seed per-instruction interpreter
+Every registered workload runs under Clank, NvMR and HOOP with the JIT
+and watchdog policies twice — once on the seed per-instruction interpreter
 (``fast=False``) and once on the fast-path engine — and the *entire*
 observable outcome must match exactly: the full :class:`RunResult`
 (energy breakdown floats bit-for-bit, cycle counts, backups by reason,
@@ -19,7 +19,7 @@ from repro.energy.traces import HarvestTrace
 from repro.sim.platform import Platform, PlatformConfig
 from repro.workloads import BENCHMARKS, load_program
 
-ARCHES = ("clank", "nvmr")
+ARCHES = ("clank", "nvmr", "hoop")
 POLICIES = ("jit", "watchdog")
 TRACE_SEED = 0
 

@@ -117,6 +117,13 @@ def test_replay_matches_simulator_across_benchmarks(bench, arch):
     _compare(bench, PlatformConfig(arch=arch, policy="jit"), seed=1)
 
 
+@pytest.mark.parametrize("policy", ["jit", "watchdog"])
+def test_replay_matches_simulator_on_fig12_grid(policy):
+    """HOOP on the Fig 12 benchmark, where its backup-cost estimate runs
+    after every instruction under JIT."""
+    _compare("adpcm_encode", PlatformConfig(arch="hoop", policy=policy))
+
+
 #: A sampled sub-grid of the Pareto sweeps' tunables (one non-default
 #: value per knob, from each policy's TunableSpec grid) — before the
 #: tuning sweeps, replay had only ever been exercised at the default
