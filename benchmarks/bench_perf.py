@@ -87,7 +87,7 @@ def _time_fig10(settings, mode):
     record-once/replay-many pipeline (the timing includes recording the
     traces — the end-to-end cost a cold sweep actually pays).
     """
-    from repro.analysis.experiments import _run_cache, clear_run_cache, fig10_backup_schemes
+    from repro.analysis.engine import _run_cache, clear_run_cache, get_experiment
     from repro.sim.replay import clear_replay_caches
 
     os.environ["REPRO_FAST"] = "0" if mode == "reference" else "1"
@@ -95,7 +95,7 @@ def _time_fig10(settings, mode):
     clear_run_cache()
     clear_replay_caches()
     start = time.process_time()
-    fig10_backup_schemes(settings)
+    get_experiment("fig10").compute(settings)
     seconds = time.process_time() - start
     instructions = sum(result.instructions for result in _run_cache.values())
     runs = len(_run_cache)
@@ -147,7 +147,7 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    from repro.analysis.experiments import ExperimentSettings
+    from repro.analysis.engine import ExperimentSettings
 
     workloads = ["hist"] if args.smoke else WORKLOADS
     traces = 1 if args.smoke else TRACES

@@ -7,7 +7,6 @@ reduced averaging scale (documented in EXPERIMENTS.md); set
 ``REPRO_FULL=1`` to reproduce the paper's full 10-trace averaging.
 """
 
-import os
 from pathlib import Path
 
 import pytest
@@ -19,13 +18,19 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 @pytest.fixture(scope="session")
 def settings():
-    chosen = ExperimentSettings.default()
-    if os.environ.get("REPRO_FULL", "") not in ("", "0"):
-        # Paper-scale averaging is hours of serial simulation; warm the
-        # shared run cache across worker processes first.
-        from repro.analysis.parallel import all_headline_jobs, prefetch_runs
+    from repro.analysis import engine
 
-        fresh = prefetch_runs(all_headline_jobs(chosen))
+    chosen = ExperimentSettings.default()
+    if engine._full_mode():
+        # Paper-scale averaging is hours of serial simulation; warm the
+        # shared run cache with the headline grids across worker
+        # processes first.
+        jobs = [
+            job
+            for spec_id in ("fig10", "fig12", "table3")
+            for job in engine.get_experiment(spec_id).jobs(chosen)
+        ]
+        fresh = engine.prefetch_runs(jobs)
         print(f"\n[REPRO_FULL] prefetched {fresh} runs in parallel")
     return chosen
 

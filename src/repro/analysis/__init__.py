@@ -5,9 +5,9 @@ every table and figure of the evaluation as an
 :class:`~repro.analysis.engine.ExperimentSpec`; the engine derives job
 enumeration, parallel execution, sharding, caching and JSON artifacts
 from it, and :mod:`repro.analysis.render` renders results as the text
-tables recorded in EXPERIMENTS.md.  The historical per-experiment
-driver functions (``fig10_backup_schemes`` et al.) remain available as
-thin wrappers over the specs.
+tables recorded in EXPERIMENTS.md.  Run an experiment with
+:func:`~repro.analysis.engine.run_experiment` (or reduce it serially
+with ``get_experiment(id).compute(settings)``).
 """
 
 from repro.analysis.engine import (
@@ -24,24 +24,7 @@ from repro.analysis.engine import (
     run_experiment,
 )
 from repro.analysis.experiments import (
-    ablation_cache_size,
-    ablation_free_list_discipline,
-    ablation_gbf_bits,
-    extension_nvm_technology,
-    extension_taxonomy,
-    fig10_backup_schemes,
-    fig10_with_variance,
-    fig11_energy_breakdown,
-    fig12_hoop,
-    fig13a_mtc_size,
-    fig13b_mtc_assoc,
-    fig13c_map_table,
-    fig13d_capacitor,
-    fig14_reclaim,
-    footnote6_original_clank,
-    overheads_study,
     table2_configuration,
-    table3_violations,
     table4_hoop_configuration,
 )
 from repro.analysis.pareto import (
@@ -72,9 +55,6 @@ __all__ = [
     "ExperimentSettings",
     "ExperimentSpec",
     "Job",
-    "ablation_cache_size",
-    "ablation_free_list_discipline",
-    "ablation_gbf_bits",
     "all_experiments",
     "bootstrap_ci",
     "cached_run",
@@ -84,26 +64,13 @@ __all__ = [
     "dominates",
     "pareto_front",
     "policy_candidates",
-    "extension_nvm_technology",
-    "extension_taxonomy",
-    "fig10_backup_schemes",
-    "fig10_with_variance",
-    "fig11_energy_breakdown",
-    "fig12_hoop",
-    "fig13a_mtc_size",
-    "fig13b_mtc_assoc",
-    "fig13c_map_table",
-    "fig13d_capacitor",
-    "fig14_reclaim",
     "format_breakdowns",
     "format_mapping",
     "format_matrix",
     "format_series",
-    "footnote6_original_clank",
     "generate_report",
     "get_experiment",
     "load_artifact",
-    "overheads_study",
     "render_artifact",
     "render_timeline",
     "report_progress",
@@ -111,7 +78,6 @@ __all__ = [
     "gini_coefficient",
     "set_progress_handler",
     "table2_configuration",
-    "table3_violations",
     "table4_hoop_configuration",
     "wear_comparison",
     "write_report",

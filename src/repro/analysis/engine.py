@@ -10,15 +10,12 @@ registered in the single :data:`EXPERIMENTS` registry (populated by
 :mod:`repro.analysis.experiments`); the engine derives everything else
 from the spec:
 
-* **job enumeration** — :meth:`ExperimentSpec.jobs`, replacing the
-  hand-maintained ``*_jobs`` mirrors that used to live in
-  :mod:`repro.analysis.parallel` and could silently drift from the
-  drivers (``tests/analysis/test_engine.py`` pins enumeration/driver
-  agreement for every registered spec);
+* **job enumeration** — :meth:`ExperimentSpec.jobs`
+  (``tests/analysis/test_engine.py`` pins enumeration/reduce agreement
+  for every registered spec);
 * **process-parallel execution** — jobs are prefetched through
-  :func:`repro.analysis.parallel.prefetch_runs` (bounded submission
-  window, as-completed progress), then the reduce runs entirely on
-  cache hits;
+  :func:`prefetch_runs` (bounded submission window, as-completed
+  progress), then the reduce runs entirely on cache hits;
 * **caching** — the in-process run cache below plus the persistent
   disk layer (:mod:`repro.analysis.runcache`);
 * **sharding** — :func:`run_experiment` takes ``shard="K/N"`` and runs
@@ -261,7 +258,8 @@ class ExperimentSpec:
         return [job for _key, job in _dedup_jobs(self.grid(settings))]
 
     def compute(self, settings=None, fetch=None):
-        """Run the reduce serially (legacy-driver entry point)."""
+        """Run the reduce serially, simulating each cache miss in turn
+        (:func:`run_experiment` prefetches the grid in parallel first)."""
         settings = settings or ExperimentSettings.default()
         return self.reduce(settings, fetch or cached_run)
 
@@ -467,6 +465,30 @@ def render_artifact(artifact):
 
 
 # ------------------------------------------------------------ execution
+def prefetch_runs(jobs, workers=None, progress=None):
+    """Run ``jobs`` (iterable of (benchmark, config, seed)) across
+    ``workers`` processes and seed the shared run cache.  Returns the
+    number of fresh simulations actually executed (disk-cache hits
+    don't count).
+
+    Execution is the process-wide
+    :class:`~repro.service.scheduler.Scheduler`'s; its structured
+    :class:`~repro.service.scheduler.ProgressEvent`\\ s are translated
+    into ``progress(done, total, label)`` callbacks, fired after every
+    completed job in addition to the process-wide handler installed via
+    :func:`repro.analysis.progress.set_progress_handler`.
+    """
+    from repro.analysis.progress import report_progress
+    from repro.service.scheduler import get_scheduler
+
+    def on_event(event):
+        report_progress(event.done, event.total, event.text)
+        if progress is not None:
+            progress(event.done, event.total, event.text)
+
+    return get_scheduler().run(jobs, workers=workers, on_event=on_event)
+
+
 @dataclass(frozen=True)
 class ExperimentRun:
     """What one :func:`run_experiment` invocation did."""
@@ -503,8 +525,6 @@ def run_experiment(spec, settings=None, workers=None, shard=None,
     ``spec`` may be an id (looked up in the registry) or a spec
     instance (e.g. a parameterised variant that is not registered).
     """
-    from repro.analysis.parallel import prefetch_runs
-
     if isinstance(spec, str):
         spec = get_experiment(spec)
     settings = settings or ExperimentSettings.default()

@@ -1,4 +1,4 @@
-"""The paper's experiments, as declarative specs + legacy wrappers.
+"""The paper's experiments, as declarative specs.
 
 Each table/figure of the evaluation is one
 :class:`~repro.analysis.engine.ExperimentSpec` built by a factory
@@ -6,18 +6,17 @@ below and registered in the engine's single ``EXPERIMENTS`` registry
 (in the paper's presentation order).  The spec carries the job grid,
 the pure reduce over fetched run records, and the renderer; the engine
 (:mod:`repro.analysis.engine`) derives enumeration, parallel
-execution, sharding, caching and artifacts from it.
-
-The historical driver functions (``fig10_backup_schemes`` et al.) are
-kept as thin wrappers over the specs — same signatures, same return
-values — so existing callers and notebooks keep working.
+execution, sharding, caching and artifacts from it.  Run one with
+``run_experiment("fig10", settings)``, or reduce it serially with
+``get_experiment("fig10").compute(settings)``; a parameterised
+variant (``fig10_spec(policies=("jit",))``) works the same way.
 
 Scale control
 -------------
 The paper averages every result over 10 voltage traces and all ten
 benchmarks.  A cycle-level Python simulator cannot afford that for
-every sweep point by default, so every entry point takes an
-:class:`ExperimentSettings` whose defaults are a documented compromise
+every sweep point by default, so every spec runs under an
+:class:`~repro.analysis.engine.ExperimentSettings` whose defaults are a documented compromise
 (fewer traces for the sensitivity sweeps, a violation-heavy benchmark
 subset for the structure sweeps).  Set the environment variable
 ``REPRO_FULL=1`` (or pass ``ExperimentSettings.full()``) to reproduce
@@ -29,17 +28,7 @@ Figures 10, 13 and 14.
 """
 
 from repro.analysis import engine
-from repro.analysis.engine import (  # noqa: F401  (re-exported legacy API)
-    ALL_BENCHMARKS,
-    SWEEP_BENCHMARKS,
-    ExperimentSettings,
-    ExperimentSpec,
-    Job,
-    _config_key,
-    _run_cache,
-    cached_run,
-    clear_run_cache,
-)
+from repro.analysis.engine import ExperimentSpec, Job
 from repro.analysis.pareto import pareto_specs
 from repro.analysis.render import (
     format_breakdowns,
@@ -49,10 +38,6 @@ from repro.analysis.render import (
 )
 from repro.energy.area import AreaModel
 from repro.sim.platform import PlatformConfig
-
-
-def _settings(settings):
-    return settings or ExperimentSettings.default()
 
 
 def _mean(values):
@@ -136,6 +121,8 @@ def table4_spec():
 
 # ------------------------------------------------------------- Table 3
 def table3_spec():
+    """Idempotency violations per benchmark on the ideal architecture
+    under the JIT scheme (paper Table 3)."""
     title = "Table 3: idempotency violations per benchmark"
     config = PlatformConfig(arch="ideal", policy="jit")
 
@@ -164,14 +151,9 @@ def table3_spec():
     )
 
 
-def table3_violations(settings=None):
-    """Idempotency violations per benchmark on the ideal architecture
-    under the JIT scheme (paper Table 3)."""
-    return table3_spec().compute(_settings(settings))
-
-
 # ------------------------------------------------------------ Figure 10
 def fig10_spec(policies=("jit", "spendthrift", "watchdog")):
+    """% energy saved by NvMR vs Clank per backup scheme (paper Fig. 10)."""
     title = "Figure 10: % energy saved, NvMR vs Clank"
 
     def grid(settings):
@@ -209,13 +191,14 @@ def fig10_spec(policies=("jit", "spendthrift", "watchdog")):
     )
 
 
-def fig10_backup_schemes(settings=None, policies=("jit", "spendthrift", "watchdog")):
-    """% energy saved by NvMR vs Clank per backup scheme (paper Fig. 10)."""
-    return fig10_spec(policies=policies).compute(_settings(settings))
-
-
 # ------------------------------------------------------------ Figure 11
 def fig11_spec():
+    """Normalised energy breakdown of Clank vs NvMR under JIT (Fig. 11).
+
+    The result is ``{bench: {"clank": {...}, "nvmr": {...}}}``; each inner
+    dict maps energy category -> fraction of *Clank's* total (so NvMR
+    bars sum to less than 1.0 when it saves energy, as in the paper).
+    """
     title = "Figure 11: energy breakdown (normalised to Clank)"
 
     def grid(settings):
@@ -259,18 +242,9 @@ def fig11_spec():
     )
 
 
-def fig11_energy_breakdown(settings=None):
-    """Normalised energy breakdown of Clank vs NvMR under JIT (Fig. 11).
-
-    Returns ``{bench: {"clank": {...}, "nvmr": {...}}}`` where each inner
-    dict maps energy category -> fraction of *Clank's* total (so NvMR
-    bars sum to less than 1.0 when it saves energy, as in the paper).
-    """
-    return fig11_spec().compute(_settings(settings))
-
-
 # ------------------------------------------------------------ Figure 12
 def fig12_spec(policies=("jit", "watchdog")):
+    """% energy saved by NvMR vs HOOP (paper Fig. 12)."""
     title = "Figure 12: % energy saved, NvMR vs HOOP"
 
     def grid(settings):
@@ -306,11 +280,6 @@ def fig12_spec(policies=("jit", "watchdog")):
         reduce=reduce,
         render=lambda result: format_matrix(title, result),
     )
-
-
-def fig12_hoop(settings=None, policies=("jit", "watchdog")):
-    """% energy saved by NvMR vs HOOP (paper Fig. 12)."""
-    return fig12_spec(policies=policies).compute(_settings(settings))
 
 
 # --------------------------------------------------------- Figure 13a-d
@@ -381,6 +350,7 @@ def _sweep_spec(spec_id, title, points, nvmr_overrides, clank_overrides=None,
 
 
 def fig13a_spec(sizes=(32, 64, 128, 256, 512, 1024)):
+    """Energy saved vs map-table-cache entries, associativity 2 (Fig. 13a)."""
     return _sweep_spec(
         "fig13a",
         "Figure 13a: map-table-cache entries",
@@ -389,12 +359,11 @@ def fig13a_spec(sizes=(32, 64, 128, 256, 512, 1024)):
     )
 
 
-def fig13a_mtc_size(settings=None, sizes=(32, 64, 128, 256, 512, 1024)):
-    """Energy saved vs map-table-cache entries, associativity 2 (Fig. 13a)."""
-    return fig13a_spec(sizes=sizes).compute(_settings(settings))
-
-
 def fig13b_spec(assocs=(1, 2, 4, 8, 16, 32)):
+    """Energy saved vs MTC associativity with 32 entries (Fig. 13b).
+
+    Associativity 32 with 32 entries is fully associative — the paper's
+    '0' point."""
     return _sweep_spec(
         "fig13b",
         "Figure 13b: map-table-cache associativity",
@@ -403,15 +372,8 @@ def fig13b_spec(assocs=(1, 2, 4, 8, 16, 32)):
     )
 
 
-def fig13b_mtc_assoc(settings=None, assocs=(1, 2, 4, 8, 16, 32)):
-    """Energy saved vs MTC associativity with 32 entries (Fig. 13b).
-
-    Associativity 32 with 32 entries is fully associative — the paper's
-    '0' point."""
-    return fig13b_spec(assocs=assocs).compute(_settings(settings))
-
-
 def fig13c_spec(sizes=(1024, 2048, 4096, 8192)):
+    """Energy saved vs map-table entries (Fig. 13c)."""
     return _sweep_spec(
         "fig13c",
         "Figure 13c: map-table entries",
@@ -420,12 +382,8 @@ def fig13c_spec(sizes=(1024, 2048, 4096, 8192)):
     )
 
 
-def fig13c_map_table(settings=None, sizes=(1024, 2048, 4096, 8192)):
-    """Energy saved vs map-table entries (Fig. 13c)."""
-    return fig13c_spec(sizes=sizes).compute(_settings(settings))
-
-
 def fig13d_spec(presets=("500uF", "7.5mF", "100mF")):
+    """Energy saved vs supercapacitor size (Fig. 13d)."""
     return _sweep_spec(
         "fig13d",
         "Figure 13d: supercapacitor size",
@@ -435,13 +393,9 @@ def fig13d_spec(presets=("500uF", "7.5mF", "100mF")):
     )
 
 
-def fig13d_capacitor(settings=None, presets=("500uF", "7.5mF", "100mF")):
-    """Energy saved vs supercapacitor size (Fig. 13d)."""
-    return fig13d_spec(presets=presets).compute(_settings(settings))
-
-
 # ------------------------------------------------------------ Figure 14
 def fig14_spec(map_table_entries=4096):
+    """Energy saved (vs Clank) with and without reclaiming (Fig. 14)."""
     title = "Figure 14: reclaim vs no-reclaim"
 
     def configs():
@@ -498,15 +452,11 @@ def fig14_spec(map_table_entries=4096):
     )
 
 
-def fig14_reclaim(settings=None, map_table_entries=4096):
-    """Energy saved (vs Clank) with and without reclaiming (Fig. 14)."""
-    return fig14_spec(map_table_entries=map_table_entries).compute(
-        _settings(settings)
-    )
-
-
 # ---------------------------------------------------------- Section 6.5
 def overheads_spec():
+    """NvMR's overheads (paper Section 6.5): NVM wear reduction, backup
+    count reduction, renaming energy share, on-chip area and reserved
+    region footprint."""
     title = "Section 6.5: overheads"
 
     def grid(settings):
@@ -566,15 +516,17 @@ def overheads_spec():
     )
 
 
-def overheads_study(settings=None):
-    """NvMR's overheads (paper Section 6.5): NVM wear reduction, backup
-    count reduction, renaming energy share, on-chip area and reserved
-    region footprint."""
-    return overheads_spec().compute(_settings(settings))
-
-
 # ------------------------------------------------------- Footnote 6
 def footnote6_spec():
+    """The paper's version of Clank vs original Clank (footnote 6).
+
+    The result is ``{bench: % energy the cached version saves}``.  The
+    paper reports 11% at GCC-optimised-binary scale; our -O0-style
+    codegen keeps loop variables in memory, which store-time violation
+    detection punishes far harder (see the clank_original module
+    docstring), so the measured magnitudes are much larger — the
+    *direction* is the reproduced claim.
+    """
     title = "Footnote 6: cached vs original Clank"
     original_config = PlatformConfig(arch="clank_original", policy="jit")
     cached_config = PlatformConfig(arch="clank", policy="jit")
@@ -606,21 +558,14 @@ def footnote6_spec():
     )
 
 
-def footnote6_original_clank(settings=None):
-    """The paper's version of Clank vs original Clank (footnote 6).
-
-    Returns ``{bench: % energy the cached version saves}``.  The paper
-    reports 11% at GCC-optimised-binary scale; our -O0-style codegen
-    keeps loop variables in memory, which store-time violation
-    detection punishes far harder (see the clank_original module
-    docstring), so the measured magnitudes are much larger — the
-    *direction* is the reproduced claim.
-    """
-    return footnote6_spec().compute(_settings(settings))
-
-
 # -------------------------------------------------------- Ablations
 def ablation_gbf_spec(bits=(2, 4, 8, 16, 64)):
+    """Design-choice ablation: GBF size (Table 2 fixes 8 one-bit entries).
+
+    A smaller GBF aliases more, conservatively classifying more evicted
+    blocks as read-dominated — extra renames for NvMR (and extra
+    backups for Clank).  Both architectures use the same GBF size.
+    """
     return _sweep_spec(
         "ablation_gbf",
         "Ablation: NvMR vs Clank by GBF size (bits)",
@@ -631,18 +576,9 @@ def ablation_gbf_spec(bits=(2, 4, 8, 16, 64)):
     )
 
 
-def ablation_gbf_bits(settings=None, bits=(2, 4, 8, 16, 64)):
-    """Design-choice ablation: GBF size (Table 2 fixes 8 one-bit entries).
-
-    A smaller GBF aliases more, conservatively classifying more evicted
-    blocks as read-dominated — extra renames for NvMR (and extra
-    backups for Clank).  Returns ``{bits: avg NvMR saving vs Clank}``
-    with both architectures using the same GBF size.
-    """
-    return ablation_gbf_spec(bits=bits).compute(_settings(settings))
-
-
 def ablation_cache_spec(sizes=(128, 256, 512)):
+    """Design-choice ablation: data-cache size (Table 2 fixes 256 B),
+    with both architectures using the same cache."""
     return _sweep_spec(
         "ablation_cache",
         "Ablation: NvMR vs Clank by data-cache size (B)",
@@ -653,16 +589,15 @@ def ablation_cache_spec(sizes=(128, 256, 512)):
     )
 
 
-def ablation_cache_size(settings=None, sizes=(128, 256, 512)):
-    """Design-choice ablation: data-cache size (Table 2 fixes 256 B).
-
-    Returns ``{size: avg NvMR saving vs Clank}`` with both
-    architectures using the same cache."""
-    return ablation_cache_spec(sizes=sizes).compute(_settings(settings))
-
-
 # ------------------------------------------------------- Extensions
 def ext_fram_spec(technologies=("flash", "fram")):
+    """Extension study (paper footnote 8): NvMR's savings by NVM
+    technology.
+
+    With FRAM, NVM writes cost roughly as little as reads, so backups —
+    the thing NvMR's renaming avoids — are cheap; the expected shape is
+    a much smaller NvMR-vs-Clank saving than under flash.
+    """
     return _sweep_spec(
         "ext_fram",
         "Extension: NVM technology (flash vs FRAM)",
@@ -672,19 +607,11 @@ def ext_fram_spec(technologies=("flash", "fram")):
     )
 
 
-def extension_nvm_technology(settings=None, technologies=("flash", "fram")):
-    """Extension study (paper footnote 8): NvMR's savings by NVM
-    technology.
-
-    With FRAM, NVM writes cost roughly as little as reads, so backups —
-    the thing NvMR's renaming avoids — are cheap; the expected shape is
-    a much smaller NvMR-vs-Clank saving than under flash.  Returns
-    ``{technology: avg % saving}`` over the sweep benchmarks.
-    """
-    return ext_fram_spec(technologies=technologies).compute(_settings(settings))
-
-
 def ext_taxonomy_spec(benchmarks=None):
+    """Extension study: total energy (uJ) of every point of Figure 2's
+    design-space taxonomy — Hibernus-style snapshots (2a), Clank (2b),
+    task-boundary backups on NvMR (2c) and NvMR + JIT (2d) — plus HOOP
+    and original buffer-based Clank."""
     title = "Extension: Figure 2 design-space taxonomy (total energy, uJ)"
     schemes = {
         "hibernus/jit (Fig 2a)": PlatformConfig(arch="hibernus", policy="jit"),
@@ -727,23 +654,15 @@ def ext_taxonomy_spec(benchmarks=None):
     )
 
 
-def extension_taxonomy(settings=None, benchmarks=None):
-    """Extension study: Figure 2's full design-space taxonomy.
-
-    Total energy of every combination the paper's background discusses:
-
-    * Hibernus-style snapshot-everything (Figure 2a) under JIT;
-    * Clank, backup-per-violation (Figure 2b) under JIT;
-    * task-boundary backups (Figure 2c) on NvMR hardware;
-    * NvMR + JIT (Figure 2d);
-    * plus HOOP (redo logging) and original buffer-based Clank.
-
-    Returns ``{scheme_label: {bench: total energy in uJ}}``.
-    """
-    return ext_taxonomy_spec(benchmarks=benchmarks).compute(_settings(settings))
-
-
 def ablation_free_list_spec(benchmarks=None):
+    """Design-choice ablation: why the free list is a *queue*.
+
+    FIFO round-robins renamed blocks through the reserved region,
+    wear-levelling it; a LIFO free list would reuse the most recently
+    freed mapping, concentrating writes.  The result is per-discipline
+    reserved-region max wear and total energy (energy is essentially
+    unchanged — the discipline is purely an endurance decision).
+    """
     title = "Ablation: free-list discipline (reserved-region endurance)"
 
     def reduce(settings, fetch):
@@ -803,21 +722,10 @@ def ablation_free_list_spec(benchmarks=None):
     )
 
 
-def ablation_free_list_discipline(settings=None, benchmarks=None):
-    """Design-choice ablation: why the free list is a *queue*.
-
-    FIFO round-robins renamed blocks through the reserved region,
-    wear-levelling it; a LIFO free list would reuse the most recently
-    freed mapping, concentrating writes.  Returns per-discipline
-    reserved-region max wear and total energy (energy is essentially
-    unchanged — the discipline is purely an endurance decision).
-    """
-    return ablation_free_list_spec(benchmarks=benchmarks).compute(
-        _settings(settings)
-    )
-
-
 def fig10_variance_spec(policy="jit"):
+    """Figure 10 with per-benchmark mean and standard deviation over
+    traces (the paper plots trace-averaged bars; this quantifies how
+    much the synthetic traces move the result)."""
     title = "Figure 10: per-benchmark mean/std over traces"
 
     def seeds(settings):
@@ -854,13 +762,6 @@ def fig10_variance_spec(policy="jit"):
         render=lambda result: format_matrix(title, result, value_format="{:7.2f}"),
         in_report=False,
     )
-
-
-def fig10_with_variance(settings=None, policy="jit"):
-    """Figure 10 with per-benchmark mean and standard deviation over
-    traces (the paper plots trace-averaged bars; this quantifies how
-    much the synthetic traces move the result)."""
-    return fig10_variance_spec(policy=policy).compute(_settings(settings))
 
 
 # --------------------------------------------------------- registration

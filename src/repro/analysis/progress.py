@@ -28,7 +28,7 @@ def set_progress_handler(handler):
     """Install ``handler(done, total, label)`` as the progress hook.
 
     Called by long-running machinery (e.g.
-    :func:`repro.analysis.parallel.prefetch_runs`) after each completed
+    :func:`repro.analysis.engine.prefetch_runs`) after each completed
     unit of work.  Pass ``None`` to silence reporting.  Returns the
     previously installed handler so callers can restore it.
     """

@@ -7,7 +7,7 @@ Three layers, innermost first:
   planning against the two cache layers, bounded worker pools with
   backpressure, in-flight deduplication of identical job keys, and
   structured :class:`~repro.service.scheduler.ProgressEvent`\\ s.  The
-  synchronous engine/CLI path (:func:`repro.analysis.parallel.
+  synchronous engine/CLI path (:func:`repro.analysis.engine.
   prefetch_runs`) is a thin caller of it and is bit-identical to the
   pre-service code.
 * :mod:`repro.service.jobs` — service-level job lifecycle: submitted

@@ -7,7 +7,7 @@ the two cache layers, trace pre-seeding, bounded process pools with a
 backpressured submission window, in-flight deduplication of identical
 job keys across concurrent callers, and structured
 :class:`ProgressEvent`\\ s.  The synchronous callers
-(:func:`repro.analysis.parallel.prefetch_runs`, and through it
+(:func:`repro.analysis.engine.prefetch_runs`, and through it
 :func:`repro.analysis.engine.run_experiment` and the CLI) delegate to
 the process-wide scheduler and are bit-identical to the pre-service
 code; the HTTP service (:mod:`repro.service.server`) drives the same
@@ -129,7 +129,7 @@ class Scheduler:
         ``on_event(event)`` fires a :class:`ProgressEvent` after every
         completed unit of work (and per trace recording).
         """
-        from repro.analysis import experiments as exp
+        from repro.analysis import engine
         from repro.analysis import runcache
 
         with self._lock:
@@ -140,8 +140,8 @@ class Scheduler:
         pending = []
         seen = set()
         for benchmark, config, seed in jobs:
-            key = (benchmark, exp._config_key(config), seed)
-            if key in exp._run_cache or key in seen:
+            key = (benchmark, engine._config_key(config), seed)
+            if key in engine._run_cache or key in seen:
                 continue
             seen.add(key)
             pending.append((key, (benchmark, config, seed)))
@@ -181,7 +181,7 @@ class Scheduler:
                 benchmark, _config, seed = job
                 result = runcache.fetch(benchmark, key[1], seed)
                 if result is not None:
-                    exp._run_cache[key] = result
+                    engine._run_cache[key] = result
                     _release(key)
                     done += 1
                     with self._lock:
@@ -203,7 +203,7 @@ class Scheduler:
                 def _finish(key, job, result):
                     nonlocal done, executed
                     benchmark, _config, seed = job
-                    exp._run_cache[key] = result
+                    engine._run_cache[key] = result
                     runcache.store(benchmark, key[1], seed, result)
                     _release(key)
                     done += 1
@@ -248,7 +248,7 @@ class Scheduler:
         # Adopt results of borrowed jobs once their owners finish.
         for key, job, holder in borrowed:
             holder.wait(self.DEDUP_WAIT_SECONDS)
-            if key not in exp._run_cache:
+            if key not in engine._run_cache:
                 benchmark, _config, seed = job
                 result = runcache.fetch(benchmark, key[1], seed)
                 if result is None:  # owner died: execute it ourselves
@@ -257,7 +257,7 @@ class Scheduler:
                     executed += 1
                     with self._lock:
                         self.executed += 1
-                exp._run_cache[key] = result
+                engine._run_cache[key] = result
             done += 1
             _tick("dedup", _describe(job))
         return executed

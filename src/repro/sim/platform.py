@@ -328,7 +328,7 @@ class Platform:
             and self.core.on_retire is None
             and isinstance(self.core, FastCore)
         ):
-            self._run_fast()
+            self._run_fast_forward()
         else:
             self._run_reference()
         return self._result()
@@ -373,22 +373,6 @@ class Platform:
             except PowerFailure:
                 self._power_failure()
 
-    def _run_fast(self):
-        """Dispatch to the specialized fast loop.
-
-        The per-cycle overhead leakage (NvMR's MTC) is constant per run,
-        so the loop is specialized once here instead of testing it every
-        step: architectures without it run :meth:`_run_fast_forward`,
-        which has the whole overhead-charge block removed; the rest run
-        :meth:`_run_fast_overhead`.  The two loops are line-for-line
-        identical apart from that block (keep them in sync; the
-        differential suite exercises both via clank and nvmr).
-        """
-        if self._overhead_leak:
-            self._run_fast_overhead()
-        else:
-            self._run_fast_forward()
-
     def _run_fast_forward(self):
         """The fast loop: identical observable behavior to
         :meth:`_run_reference`, restructured for speed.
@@ -415,8 +399,10 @@ class Platform:
           decisions near any boundary match the reference loop bit for
           bit.
 
-        This variant is for architectures with no per-cycle overhead
-        leakage; :meth:`_run_fast_overhead` carries the extra charge.
+        Architectures with per-cycle overhead leakage (NvMR's MTC
+        standby power) add a second charge to every step; ``ovh``
+        selects it once per run, as ``ReplayPlatform._replay_stream``
+        does.
         """
         core = self.core
         policy = self.policy
@@ -426,6 +412,9 @@ class Platform:
         backup = arch.backup
         injector = self._injector
         charge_forward = ledger.charge_forward
+        overhead_leak = self._overhead_leak
+        ovh = bool(overhead_leak)
+        charge_overhead = ledger.charge_forward_overhead
         after_step = policy.after_step
         # Policies that don't override decide() (task, user policies)
         # are called through plain after_step, exactly like the
@@ -475,21 +464,37 @@ class Platform:
                     cycles = fn()
                     steps += 1
                     self.active_cycles += cycles
-                    # Per-step CPU + leakage charge, inlined from
-                    # EnergyLedger.charge_forward: the common case (slot
-                    # pinned, charge affordable) runs on a local copy of
-                    # the capacitor level — the same compares and
-                    # subtractions, one attribute store; anything else
-                    # delegates to the ledger, which redoes the exact
-                    # same transition.
+                    # Per-step CPU + leakage charge, then the overhead
+                    # charge, each inlined from its EnergyLedger fast
+                    # path: the common case (slot pinned, charge
+                    # affordable) runs on a local copy of the capacitor
+                    # level — the same compares and subtractions, one
+                    # attribute store; anything else delegates to the
+                    # ledger, which redoes the exact same transition.
+                    # The overhead draw observes the level the forward
+                    # draw left, exactly as two sequential charge()
+                    # calls do.
                     energy = capacitor.energy
                     amount = cycles * step_energy
                     if ledger._fwd_touched and energy >= amount:
                         ledger._fwd_pending += amount
                         energy -= amount
-                        capacitor.energy = energy
+                        if not ovh:
+                            capacitor.energy = energy
+                        else:
+                            amount = cycles * overhead_leak
+                            if ledger._ovh_touched and energy >= amount:
+                                ledger._ovh_pending += amount
+                                energy -= amount
+                                capacitor.energy = energy
+                            else:
+                                capacitor.energy = energy
+                                charge_overhead(amount)
+                                energy = capacitor.energy
                     else:
                         charge_forward(amount)
+                        if ovh:
+                            charge_overhead(cycles * overhead_leak)
                         energy = capacitor.energy
                     if injector is not None:
                         injector.on_step()
@@ -511,125 +516,6 @@ class Platform:
                             # catch the policy's counters up with the
                             # fully skipped steps (the revoking step's
                             # cycles flow through decide() below).
-                            skipped += cycles
-                            if skipped < budget:
-                                continue
-                            resync(skipped - cycles)
-                        gmode = 0
-                    if decide is not None:
-                        action, guard = decide(self, cycles)
-                    else:
-                        action = after_step(self, cycles)
-                        guard = None
-                    if action is none_action:
-                        if guard is not None:
-                            floor, growth, budget, resync = guard
-                            if budget == inf:
-                                gmode = 1
-                            elif resync is not None:
-                                skipped = 0
-                                gmode = 2
-                    elif action is backup_action:
-                        backup(BackupReason.POLICY)
-                        policy.on_backup(self)
-                    elif action is shutdown_action:
-                        backup(BackupReason.POLICY)
-                        policy.on_backup(self)
-                        self._shutdown()
-                except PowerFailure:
-                    self._power_failure()
-                    gmode = 0
-        finally:
-            core.instructions_retired += steps
-
-    def _run_fast_overhead(self):
-        """:meth:`_run_fast_forward` plus the per-cycle overhead-leakage
-        charge (NvMR's MTC standby power).  See that method's docstring;
-        everything else is line-for-line identical."""
-        core = self.core
-        policy = self.policy
-        ledger = self.ledger
-        arch = self.arch
-        capacitor = self.capacitor
-        backup = arch.backup
-        injector = self._injector
-        charge_forward = ledger.charge_forward
-        charge_overhead = ledger.charge_forward_overhead
-        after_step = policy.after_step
-        use_decide = (
-            getattr(type(policy), "decide", None) is not BackupPolicy.decide
-            and getattr(policy, "decide", None) is not None
-        )
-        decide = policy.decide if use_decide else None
-        ops = core._ops
-        code_base = core._code_base
-        rf = core.rf
-        step_energy = self._cpu_cycle_energy + self._leak
-        overhead_leak = self._overhead_leak
-        steps = 0
-        gmode = 0
-        floor = 0.0
-        growth = 0.0
-        budget = 0
-        skipped = 0
-        resync = None
-        inf = float("inf")
-        max_steps = self.config.max_steps
-        none_action = PolicyAction.NONE
-        backup_action = PolicyAction.BACKUP
-        shutdown_action = PolicyAction.SHUTDOWN
-        try:
-            while True:
-                if core.halted:
-                    try:
-                        backup(BackupReason.FINAL)
-                        break
-                    except PowerFailure:
-                        self._power_failure()
-                        gmode = 0
-                        continue
-                if steps >= max_steps:
-                    raise SimulationError(f"exceeded {max_steps} instructions")
-                try:
-                    try:
-                        fn = ops[(rf.pc - code_base) >> 2]
-                    except IndexError:
-                        raise ExecutionError(
-                            f"pc outside code: {rf.pc:#x}"
-                        ) from None
-                    cycles = fn()
-                    steps += 1
-                    self.active_cycles += cycles
-                    # Forward charge then overhead charge, each inlined
-                    # from its ledger fast path; the overhead draw must
-                    # observe the capacitor level left by the forward
-                    # draw, exactly as two sequential charge() calls do.
-                    energy = capacitor.energy
-                    amount = cycles * step_energy
-                    if ledger._fwd_touched and energy >= amount:
-                        ledger._fwd_pending += amount
-                        energy -= amount
-                        amount = cycles * overhead_leak
-                        if ledger._ovh_touched and energy >= amount:
-                            ledger._ovh_pending += amount
-                            energy -= amount
-                            capacitor.energy = energy
-                        else:
-                            capacitor.energy = energy
-                            charge_overhead(amount)
-                            energy = capacitor.energy
-                    else:
-                        charge_forward(amount)
-                        charge_overhead(cycles * overhead_leak)
-                        energy = capacitor.energy
-                    if injector is not None:
-                        injector.on_step()
-                    if gmode:
-                        if gmode == 1:
-                            floor += growth
-                            if energy > floor:
-                                continue
-                        else:
                             skipped += cycles
                             if skipped < budget:
                                 continue

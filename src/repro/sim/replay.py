@@ -673,8 +673,8 @@ class ReplayPlatform(Platform):
     """A platform whose run loop streams a recorded trace.
 
     The loops below mirror the simulator's loops statement for
-    statement (``_replay_stream`` ↔ ``_run_fast_forward`` /
-    ``_run_fast_overhead``, ``_replay_hooked`` ↔ ``_run_reference``);
+    statement (``_replay_stream`` ↔ ``_run_fast_forward``,
+    ``_replay_hooked`` ↔ ``_run_reference``);
     instruction dispatch is replaced by indexing the trace, and memory
     operations replay the recorded address/value through the real
     architecture.  Keep them in sync with :mod:`repro.sim.platform` —
@@ -736,10 +736,9 @@ class ReplayPlatform(Platform):
         self.stats = ReplayStats()
         kernel = None
         if guard_kernels_enabled():
-            try:
-                kernel = self.policy.compile_guard(self)
-            except Exception:
-                kernel = None  # advisory: scalar renewal always works
+            # A policy without a closed-form renewal returns None; a
+            # raise here is a bug, so it propagates.
+            kernel = self.policy.compile_guard(self)
         self._gkernel = kernel
         self._mark = 0
         self._k = 0
@@ -841,11 +840,10 @@ class ReplayPlatform(Platform):
         )
 
     def _replay_stream(self, boundary=None):
-        """Mirror of ``Platform._run_fast_forward`` /
-        ``_run_fast_overhead`` driven by the trace — one loop serving
-        both ledger shapes (``ovh`` selects the nested per-cycle
-        overhead charge the nvmr MTC adds to every step; the merged
-        float chains are each original's, bit for bit).
+        """Mirror of ``Platform._run_fast_forward`` driven by the trace
+        — like it, one loop serving both ledger shapes (``ovh`` selects
+        the nested per-cycle overhead charge the nvmr MTC adds to every
+        step, with each shape's float chain kept bit for bit).
 
         ``boundary``, when given, is a per-step boolean mask standing
         in for a boundary guard kernel's retire hook (see ``run``):

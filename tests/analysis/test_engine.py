@@ -180,26 +180,26 @@ def test_load_artifact_rejects_foreign_documents(tmp_path):
         load_artifact(path)
 
 
-# ------------------------------------------- engine vs legacy drivers
+# ------------------------------ run_experiment vs serial spec.compute
 def test_engine_matches_legacy_fig10():
-    from repro.analysis import fig10_backup_schemes
+    from repro.analysis.experiments import fig10_spec
 
     run = run_experiment("fig10", settings=SMOKE, workers=1)
-    assert run.result == fig10_backup_schemes(SMOKE)
+    assert run.result == fig10_spec().compute(SMOKE)
 
 
 def test_engine_matches_legacy_fig13a():
-    from repro.analysis import fig13a_mtc_size
+    from repro.analysis.experiments import fig13a_spec
 
     run = run_experiment("fig13a", settings=SMOKE, workers=1)
-    assert run.result == fig13a_mtc_size(SMOKE)
+    assert run.result == fig13a_spec().compute(SMOKE)
 
 
 def test_engine_matches_legacy_fig14():
-    from repro.analysis import fig14_reclaim
+    from repro.analysis.experiments import fig14_spec
 
     run = run_experiment("fig14", settings=SMOKE, workers=1)
-    assert run.result == fig14_reclaim(SMOKE)
+    assert run.result == fig14_spec().compute(SMOKE)
 
 
 # ------------------------------------------------------------ run shape

@@ -1,25 +1,20 @@
-"""Experiment drivers: smoke runs and reporting formats."""
+"""Experiment specs: smoke runs and reporting formats."""
 
 import pytest
 
 from repro.analysis import (
     ExperimentSettings,
-    fig10_backup_schemes,
-    fig14_reclaim,
+    cached_run,
+    clear_run_cache,
     format_breakdowns,
     format_mapping,
     format_matrix,
     format_series,
-    overheads_study,
+    get_experiment,
     table2_configuration,
-    table3_violations,
     table4_hoop_configuration,
 )
-from repro.analysis.experiments import (
-    cached_run,
-    clear_run_cache,
-    fig11_energy_breakdown,
-)
+from repro.analysis.experiments import fig10_spec, fig13a_spec, fig13d_spec
 from repro.sim.platform import PlatformConfig
 
 SMOKE = ExperimentSettings.smoke()
@@ -43,13 +38,13 @@ def test_table4_hoop_structures():
 
 
 def test_table3_counts_violations():
-    counts = table3_violations(SMOKE)
+    counts = get_experiment("table3").compute(SMOKE)
     assert set(counts) == set(SMOKE.benchmarks)
     assert counts["qsort"] > 0
 
 
 def test_fig10_smoke_has_average():
-    results = fig10_backup_schemes(SMOKE, policies=("jit",))
+    results = fig10_spec(policies=("jit",)).compute(SMOKE)
     assert "average" in results["jit"]
     assert set(SMOKE.benchmarks) <= set(results["jit"])
     # qsort is violation-heavy: NvMR must save energy under JIT.
@@ -57,7 +52,7 @@ def test_fig10_smoke_has_average():
 
 
 def test_fig11_breakdowns_normalised_to_clank():
-    out = fig11_energy_breakdown(ExperimentSettings.smoke())
+    out = get_experiment("fig11").compute(ExperimentSettings.smoke())
     for bench, per_arch in out.items():
         clank_total = sum(per_arch["clank"].values())
         assert clank_total == pytest.approx(1.0)
@@ -65,13 +60,13 @@ def test_fig11_breakdowns_normalised_to_clank():
 
 
 def test_fig14_reclaim_shape():
-    out = fig14_reclaim(ExperimentSettings.smoke())
+    out = get_experiment("fig14").compute(ExperimentSettings.smoke())
     assert "average" in out
     assert set(out["qsort"]) == {"reclaim", "no_reclaim"}
 
 
 def test_overheads_study_fields():
-    out = overheads_study(SMOKE)
+    out = get_experiment("overheads").compute(SMOKE)
     assert 0 < out["mtc_area_overhead_percent"] < 15
     assert 0 < out["reserved_region_percent_of_flash"] < 10
     assert out["backup_reduction_factor"] > 1
@@ -128,33 +123,27 @@ def test_generate_report_restricted_sections():
 
 
 def test_extension_nvm_technology_shape():
-    from repro.analysis import extension_nvm_technology
-
-    out = extension_nvm_technology(
+    out = get_experiment("ext_fram").compute(
         ExperimentSettings(sweep_benchmarks=["qsort"], sweep_traces=1)
     )
     assert out["flash"] > out["fram"]
 
 
 def test_fig10_with_variance_fields():
-    from repro.analysis import fig10_with_variance
-
-    out = fig10_with_variance(ExperimentSettings.smoke())
+    out = get_experiment("fig10_variance").compute(ExperimentSettings.smoke())
     for bench, stats in out.items():
         assert set(stats) == {"mean", "std"}
         assert stats["std"] >= 0.0
 
 
 def test_fig13a_and_13d_smoke():
-    from repro.analysis import fig13a_mtc_size, fig13d_capacitor
-
     small = ExperimentSettings(
         traces=1, sweep_traces=1,
         benchmarks=["qsort"], sweep_benchmarks=["qsort"],
     )
-    sizes = fig13a_mtc_size(small, sizes=(32, 512))
+    sizes = fig13a_spec(sizes=(32, 512)).compute(small)
     assert set(sizes) == {32, 512}
-    caps = fig13d_capacitor(small, presets=("500uF", "100mF"))
+    caps = fig13d_spec(presets=("500uF", "100mF")).compute(small)
     # Bigger capacitor -> longer sections -> more savings (Fig 13d).
     assert caps["100mF"] > caps["500uF"]
 

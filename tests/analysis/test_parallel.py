@@ -2,30 +2,35 @@
 
 from dataclasses import replace
 
-from repro.analysis import ExperimentSettings, cached_run
-from repro.analysis.experiments import _config_key, _run_cache, clear_run_cache
-from repro.analysis.parallel import (
-    all_headline_jobs,
-    fig10_jobs,
+from repro.analysis import ExperimentSettings, cached_run, get_experiment
+from repro.analysis.engine import (
+    _config_key,
+    _run_cache,
+    clear_run_cache,
     prefetch_runs,
-    table3_jobs,
 )
+from repro.analysis.experiments import fig10_spec
 from repro.sim.platform import PlatformConfig
 
 SMOKE = ExperimentSettings(traces=1, benchmarks=["qsort"], sweep_benchmarks=["qsort"])
 
 
 def test_job_sets_cover_expected_shape():
-    jobs = fig10_jobs(SMOKE, policies=("jit",))
+    jobs = fig10_spec(policies=("jit",)).jobs(SMOKE)
     assert len(jobs) == 2  # clank + nvmr, one bench, one trace
     assert {config.arch for _, config, _ in jobs} == {"clank", "nvmr"}
-    assert len(table3_jobs(SMOKE)) == 1
-    assert len(all_headline_jobs(SMOKE)) > len(jobs)
+    assert len(get_experiment("table3").jobs(SMOKE)) == 1
+    headline = [
+        job
+        for spec_id in ("fig10", "fig12", "table3")
+        for job in get_experiment(spec_id).jobs(SMOKE)
+    ]
+    assert len(headline) > len(jobs)
 
 
 def test_prefetch_seeds_cache_serial():
     clear_run_cache()
-    jobs = fig10_jobs(SMOKE, policies=("jit",))
+    jobs = fig10_spec(policies=("jit",)).jobs(SMOKE)
     fresh = prefetch_runs(jobs, workers=1)
     assert fresh == 2
     # All jobs now cached: a second prefetch does nothing.

@@ -6,8 +6,13 @@ import pytest
 
 import repro
 from repro.analysis import runcache
-from repro.analysis.experiments import _config_key, _run_cache, cached_run, clear_run_cache
-from repro.analysis.parallel import prefetch_runs
+from repro.analysis.engine import (
+    _config_key,
+    _run_cache,
+    cached_run,
+    clear_run_cache,
+    prefetch_runs,
+)
 from repro.sim.platform import PlatformConfig
 from repro.workloads import register_workload, unregister_workload
 

@@ -11,7 +11,7 @@ import threading
 import pytest
 
 import repro.service.scheduler as sched
-from repro.analysis.experiments import _config_key, _run_cache, clear_run_cache
+from repro.analysis.engine import _config_key, _run_cache, clear_run_cache
 from repro.service import ProgressEvent, Scheduler, get_scheduler
 from repro.sim.platform import PlatformConfig
 

@@ -12,7 +12,7 @@ import threading
 import pytest
 
 import repro.analysis.engine as engine
-from repro.analysis.experiments import clear_run_cache
+from repro.analysis.engine import clear_run_cache
 from repro.service.client import JobFailed, ServiceClient, ServiceUnavailable
 from repro.service.jobs import JobTable, request_key
 from repro.service.server import BackgroundServer

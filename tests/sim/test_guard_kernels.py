@@ -170,6 +170,25 @@ def test_jit_floor_kernel_matches_live_estimate_throughout_run(arch):
     assert policy.checked > 10_000  # the audit actually ran, per step
 
 
+# ------------------------------------------- loud compile_guard errors
+class _BrokenGuardPolicy(JitPolicy):
+    def compile_guard(self, platform):
+        raise RuntimeError("broken guard kernel")
+
+
+def test_compile_guard_error_propagates(monkeypatch):
+    """A raising ``compile_guard`` is a bug: replay must surface it, not
+    quietly run the slower scalar renewal path."""
+    monkeypatch.setenv("REPRO_REPLAY_GUARD_KERNELS", "1")
+    platform = ReplayPlatform(
+        load_program("hist"), get_image("hist"),
+        PlatformConfig(arch="nvmr", policy=_BrokenGuardPolicy()),
+        trace=HarvestTrace(0), benchmark_name="hist",
+    )
+    with pytest.raises(RuntimeError, match="broken guard kernel"):
+        platform.run()
+
+
 # --------------------------------- Spendthrift trip == resync + decide
 class _FakeCapacitor:
     def __init__(self, capacity, energy):

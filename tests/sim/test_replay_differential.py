@@ -94,11 +94,14 @@ def _compare(bench, config, seed=0):
             verify_platform(bench, plat)
         else:
             assert out[1] == sim_out[1], tag
+    scalar_plat = others["scalar-replay"][1]
+    compiled_plat = others["compiled-replay"][1]
+    # ``epochs.make_span`` turns a constructor error into a silent
+    # scalar fallback; no cell of the matrix may take that route.
+    assert "construction" not in compiled_plat.stats.fallbacks
     if sim_out[0] == "ok":
         # Both replay modes must land on the same committed checkpoint
         # cursor — the trace position a restore would resume from.
-        scalar_plat = others["scalar-replay"][1]
-        compiled_plat = others["compiled-replay"][1]
         assert (
             compiled_plat.nvm.committed_checkpoint().get("replay_k")
             == scalar_plat.nvm.committed_checkpoint().get("replay_k")
