@@ -85,8 +85,12 @@ class GuardKernel:
     * ``"boundary"`` — backups sit at known trace positions (opcode
       boundaries).  ``opcodes`` lists the trigger opcodes and
       ``note_boundary()`` applies the policy's per-retire effect; the
-      replayer precomputes a per-step boolean mask from the trace and
-      drops the per-instruction retire hook entirely.
+      replayer precomputes the sorted boundary steps from the trace
+      and drops the per-instruction retire hook entirely.  Its quantum
+      windows end at the next boundary, and the general body revokes
+      any cycle-budget guard on a boundary step (``resync`` with the
+      fully skipped cycles, then a fresh ``decide``), since the
+      policy's threshold may move there.
 
     Executors treat any kernel as advisory: a policy/arch pair that
     cannot honour the contract returns None from ``compile_guard`` and
@@ -197,9 +201,13 @@ class BackupPolicy:
 
         A policy may only grant a guard when every skipped call would
         provably return :data:`PolicyAction.NONE` with no side effects
-        beyond what ``resync`` reconstructs.  Policies that keep the
-        default (task, user policies) are consulted after every
-        instruction, exactly as the reference loop does.
+        beyond what ``resync`` reconstructs.  A guard that an
+        instruction-level event can invalidate needs the caller to
+        revoke it there: the task policy's budget ends at call
+        boundaries, where the trace replayer revokes it (see
+        :class:`~repro.policies.base.GuardKernel` ``"boundary"``).
+        Policies that keep the default (user policies) are consulted
+        after every instruction, exactly as the reference loop does.
         """
         return self.after_step(platform, cycles), None
 

@@ -92,14 +92,35 @@ def train_spendthrift_model(
     w2 = rng.normal(0.0, 0.5, hidden)
     b2 = 0.0
     n = len(labels)
+    # Per-sample temporaries are preallocated and refilled through
+    # ``out=``: the same ufuncs in the same order as the plain
+    # expressions (``np.outer`` is a broadcast multiply, ``x**2`` is
+    # ``np.square``), so the trained weights are bit-identical, without
+    # re-allocating every (samples, hidden) array on every epoch.
+    hidden_act = np.empty((n, hidden))
+    grad_hidden = np.empty((n, hidden))
+    slope = np.empty((n, hidden))
+    logits = np.empty(n)
+    grad_logits = np.empty(n)
     for _ in range(epochs):
-        hidden_act = np.tanh(features @ w1 + b1)
-        logits = hidden_act @ w2 + b2
-        probs = 1.0 / (1.0 + np.exp(-logits))
-        grad_logits = (probs - labels) / n
+        np.matmul(features, w1, out=hidden_act)
+        np.add(hidden_act, b1, out=hidden_act)
+        np.tanh(hidden_act, out=hidden_act)
+        np.matmul(hidden_act, w2, out=logits)
+        np.add(logits, b2, out=logits)
+        # probs = 1 / (1 + exp(-logits)), built in the logits buffer.
+        np.negative(logits, out=logits)
+        np.exp(logits, out=logits)
+        np.add(1.0, logits, out=logits)
+        np.divide(1.0, logits, out=logits)
+        np.subtract(logits, labels, out=grad_logits)
+        np.divide(grad_logits, n, out=grad_logits)
         grad_w2 = hidden_act.T @ grad_logits
         grad_b2 = grad_logits.sum()
-        grad_hidden = np.outer(grad_logits, w2) * (1.0 - hidden_act**2)
+        np.multiply(grad_logits[:, None], w2, out=grad_hidden)
+        np.square(hidden_act, out=slope)
+        np.subtract(1.0, slope, out=slope)
+        np.multiply(grad_hidden, slope, out=grad_hidden)
         grad_w1 = features.T @ grad_hidden
         grad_b1 = grad_hidden.sum(axis=0)
         w1 -= learning_rate * grad_w1

@@ -12,6 +12,16 @@ which is exactly why these schemes back up more than necessary.
 Correctness is the architecture's job (Clank/NvMR/HOOP are crash-
 consistent under *any* backup placement); the policy only decides the
 energy bill, like every other policy here.
+
+Between boundaries the decision is a pure cycle-counter compare, so
+:meth:`TaskBoundaryPolicy.decide` grants a cycle-budget quantum guard
+like the watchdog's.  A retiring ``bl`` lowers the threshold from
+``max_task_cycles`` to ``min_task_cycles``, which the budget cannot
+foresee: the replayer ends its quantum windows at the next boundary
+and revokes the guard there (``resync`` then a fresh ``decide``).  The
+simulator never consults ``decide`` for this policy — its retire hook
+sends every run through the reference loop, which calls
+``after_step`` after each instruction.
 """
 
 from repro.isa.instructions import Opcode
@@ -21,6 +31,9 @@ from repro.policies.base import (
     PolicyAction,
     TunableSpec,
 )
+
+#: The task policy ignores energy: its guard never fails the floor test.
+_NO_FLOOR = float("-inf")
 
 #: Minimum cycles between task backups (task granularity knob).
 DEFAULT_MIN_TASK_CYCLES = 1500
@@ -107,15 +120,45 @@ class TaskBoundaryPolicy(BackupPolicy):
             return PolicyAction.BACKUP  # forced loop split
         return PolicyAction.NONE
 
+    def decide(self, platform, cycles):
+        """Task test plus a cycle-budget guard until the next threshold.
+
+        While no boundary retires, every skipped ``after_step`` would
+        only advance ``_since_backup`` and return NONE until the
+        counter reaches the active threshold (``min_task_cycles`` once
+        a boundary has been seen this task, ``max_task_cycles``
+        before), so the loop may skip ``threshold - _since_backup``
+        cycles; ``_resync`` reconstructs the counter at revoke.  A
+        boundary changes the threshold, so the caller must revoke the
+        guard at every boundary step — :class:`~repro.sim.replay.
+        ReplayPlatform` ends its windows there.  A power failure drops
+        the guard without resync (``on_period_start`` zeroes the
+        counter, exactly as in the reference loop).
+        """
+        action = self.after_step(platform, cycles)
+        if action == PolicyAction.NONE:
+            threshold = (
+                self.min_task_cycles if self._boundary_seen
+                else self.max_task_cycles
+            )
+            return action, (
+                _NO_FLOOR, 0.0, threshold - self._since_backup, self._resync
+            )
+        return action, None
+
+    def _resync(self, skipped_cycles):
+        self._since_backup += skipped_cycles
+
     def compile_guard(self, platform):
         """Boundary kernel: call sites are fixed trace positions.
 
         The retire hook only ever inspects the instruction's opcode, so
-        a replayer can precompute a per-step boolean mask (``BL`` or
-        not) from the recorded trace and drop the per-instruction hook
-        entirely, setting ``_boundary_seen`` from the mask at exactly
-        the retire points the hook would have seen.  Declarative
-        (``absorbs`` False): the backup itself is real work.
+        a replayer can precompute the steps that retire a ``BL`` from
+        the recorded trace and drop the per-instruction hook entirely,
+        setting ``_boundary_seen`` at exactly the retire points the
+        hook would have seen (and revoking the :meth:`decide` guard
+        there).  Declarative (``absorbs`` False): the backup itself is
+        real work.
         """
         return _TaskBoundaryKernel(self)
 

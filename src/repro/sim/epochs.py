@@ -33,7 +33,10 @@ window back to the scalar loop at each one:
 
 Windows then run whole active periods: they break only at misses, byte
 ops, unaffordable charges, halts, or a declined renewal — exactly the
-points the scalar general body must service anyway.
+points the scalar general body must service anyway.  (A byte op ends a
+compiled chunk even when it hits: the array commit pass models word
+stores only, so the step is handed back to the scalar replay loop,
+whose inline hit path serves word and byte accesses alike.)
 
 Bit-exactness
 -------------
@@ -87,9 +90,10 @@ plus an in-place ``np.memmap`` per member, so sweep workers opening
 the same script share one page-cache copy instead of each inflating
 its own.
 
-``REPRO_REPLAY_COMPILED=0`` disables the compiled path process-wide;
-construction failures fall back to the scalar window automatically
-(see :func:`make_span`).
+``REPRO_REPLAY_COMPILED=0`` disables the compiled path process-wide.
+A failing :class:`CompiledSpanState` construction is a bug and
+propagates; only a corrupt or stale stored script is forgiven (it
+reads as a miss and is rebuilt).
 """
 
 import io
@@ -1179,7 +1183,7 @@ class CompiledSpanState(_SpanState):
             line_of = self.line_of
             sets = self.sets
             for p in script.mpos[ma:mz].tolist():
-                kind, bid, sx, w, val = mstep[p]
+                kind, bid, sx, w, val, _off = mstep[p]
                 line = line_of[bid]
                 states = line.meta.states
                 if kind:
@@ -1237,22 +1241,3 @@ class CompiledSpanState(_SpanState):
             ids = set(map(id, promoted))
             rest = [line for line in lines if id(line) not in ids]
             lines[:] = promoted + rest
-
-
-def make_span(image, arch, jstatic, dirty_reorder,
-              step_energy, access_amount, hit_amount,
-              overhead_leak=None, hit_ovh=None,
-              kernel=None, stats=None):
-    """A :class:`CompiledSpanState`, or None on any construction
-    failure — the caller falls back to the scalar ``_SpanState``, so a
-    corrupt store entry or an unexpected geometry can never take a
-    replay down."""
-    try:
-        return CompiledSpanState(
-            image, arch, jstatic, dirty_reorder,
-            step_energy, access_amount, hit_amount,
-            overhead_leak, hit_ovh,
-            kernel=kernel, stats=stats,
-        )
-    except Exception:
-        return None

@@ -416,8 +416,8 @@ class Platform:
         ovh = bool(overhead_leak)
         charge_overhead = ledger.charge_forward_overhead
         after_step = policy.after_step
-        # Policies that don't override decide() (task, user policies)
-        # are called through plain after_step, exactly like the
+        # Policies that don't override decide() (user policies) are
+        # called through plain after_step, exactly like the
         # reference loop; anything else goes through decide().
         use_decide = (
             getattr(type(policy), "decide", None) is not BackupPolicy.decide

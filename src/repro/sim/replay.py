@@ -36,8 +36,8 @@ compiled windows span whole active periods; ``per-run`` coverage is
 recorded in :attr:`ReplayPlatform.stats`.  ``REPRO_REPLAY_COMPILED=0``
 (or ``ReplayPlatform(..., compiled=False)``) forces the scalar
 :class:`_SpanState`; ``REPRO_REPLAY_GUARD_KERNELS=0`` keeps compiled
-windows but disables in-array guard renewal; compiled-script
-construction failures fall back automatically.
+windows but disables in-array guard renewal.  A compiled-span
+construction failure propagates; a corrupt stored script is a miss.
 
 Fault injectors (:mod:`repro.energy.faultinject`) work under replay —
 their hooks fire at the same execution boundaries — which the
@@ -47,6 +47,7 @@ sweeps through replay.
 """
 
 import os
+from bisect import bisect_left
 from dataclasses import replace
 
 import numpy as np
@@ -200,14 +201,17 @@ class _SpanState:
 
     Hits need no per-step cache probe: between misses no line is ever
     evicted, so an access hits iff its block is mapped in ``line_of``
-    at span start.  The block->line map is rebuilt lazily (``stale``)
-    or patched per set (:meth:`rescan_set`) whenever the general body
-    serviced a miss.  The recorded benchmarks issue a memory op every
-    ~2.4 steps and windows typically end within a few dozen steps (at
-    a miss or a guard revoke), which is far below the break-even of
-    any vectorised formulation — batching the energy arithmetic with
-    ``np.subtract.accumulate`` was measured strictly slower than this
-    scalar loop at every chunk size, so the window stays scalar.
+    at span start.  Word and byte accesses share that hit path (a byte
+    store writes its offset in ``line.data``).  The block->line map is
+    rebuilt lazily (``stale``) or patched per set (:meth:`rescan_set`)
+    whenever the general body serviced a miss.  The recorded
+    benchmarks issue a memory op every ~2.4 steps and windows
+    typically end within a few dozen to a few hundred steps (at a
+    miss, a guard revoke or a call boundary), which is far below the
+    break-even of any vectorised formulation — batching the energy
+    arithmetic with ``np.subtract.accumulate`` was measured strictly
+    slower than this scalar loop at every chunk size, so the window
+    stays scalar.
     """
 
     __slots__ = (
@@ -292,19 +296,21 @@ class _SpanState:
     def note_memop(self, k):
         """General body is about to replay the memory op at step ``k``.
 
-        A hit only promotes the line within its set — and, on a store,
-        possibly dirties it — so the block->line map survives most
-        general-body ops.  A miss (eviction + install) returns the set
-        index so the caller can :meth:`rescan_set` once the op has
-        executed; reorder-sensitive estimates fall back to a full
-        rebuild (their hazard view is global, and a store to a clean
-        line changes it too).  Called *before* the op executes:
+        The scalar window hands the general body only the memory ops
+        that miss or break a guard test — every other hit, word or
+        byte, stays inside it.  A hit only promotes the line within its
+        set — and, on a store, possibly dirties it — so the block->line
+        map survives most general-body ops.  A miss (eviction +
+        install) returns the set index so the caller can
+        :meth:`rescan_set` once the op has executed; reorder-sensitive
+        estimates fall back to a full rebuild (their hazard view is
+        global, and a store to a clean line changes it too).  Called *before* the op executes:
         ``line_of`` still reflects the pre-op mapping.  Returns -1
         when no post-op rescan is needed.
         """
         if self.stale:
             return -1
-        kind, bid, sidx, _w, _val = self.mstep[k]
+        kind, bid, sidx, _w, _val, _off = self.mstep[k]
         line = self.line_of.get(bid)
         if line is None:
             if self.jstatic and self.dirty_reorder:
@@ -360,8 +366,9 @@ class _SpanState:
         ``(k, energy, fwd_pending, ovh_pending, floor, skipped,
         budget, wextra, wloads, wstores, revoke)`` — the breaking step
         is never committed, and within a step the simulator's check
-        order decides which break wins (kind > 1, per-charge
-        affordability, miss, guard, clean store, reorder hazard).
+        order decides which break wins (per-charge affordability,
+        miss, guard, clean store, reorder hazard; the rank numbers are
+        shared with the compiled executor, whose rank 0 is a byte op).
         ``budget`` passes through unchanged here; an executor with an
         absorbing guard kernel may return a renewed one.
 
@@ -387,10 +394,7 @@ class _SpanState:
             while k < stop:
                 tup = mstep[k]
                 if tup is not None:
-                    kind, bid, sidx, w, val = tup
-                    if kind > 1:
-                        rank = 0
-                        break
+                    kind, bid, sidx, w, val, off = tup
                     if energy < access_amount:
                         rank = 1
                         break
@@ -419,10 +423,13 @@ class _SpanState:
                     if ovh:
                         ovh_pending = ovh_pending + hit_ovh
                     states = line.meta.states
-                    if kind:
+                    if kind & 1:
                         if states[w] == _UNKNOWN:
                             states[w] = _WRITE
-                        line.words[w] = val
+                        if kind == 1:
+                            line.words[w] = val
+                        else:
+                            line.data[off] = val & 0xFF
                         line.dirty = True
                         wstores += 1
                     else:
@@ -462,10 +469,7 @@ class _SpanState:
             while k < stop:
                 tup = mstep[k]
                 if tup is not None:
-                    kind, bid, sidx, w, val = tup
-                    if kind > 1:
-                        rank = 0
-                        break
+                    kind, bid, sidx, w, val, off = tup
                     if energy < access_amount:
                         rank = 1
                         break
@@ -486,7 +490,7 @@ class _SpanState:
                     if e1 <= floor:
                         rank = 5
                         break
-                    if kind and not line.dirty:
+                    if kind & 1 and not line.dirty:
                         rank = 6
                         break
                     if check_hz and line.dirty and hz_bm[bid]:
@@ -498,10 +502,13 @@ class _SpanState:
                     if ovh:
                         ovh_pending = ovh_pending + hit_ovh
                     states = line.meta.states
-                    if kind:
+                    if kind & 1:
                         if states[w] == _UNKNOWN:
                             states[w] = _WRITE
-                        line.words[w] = val
+                        if kind == 1:
+                            line.words[w] = val
+                        else:
+                            line.data[off] = val & 0xFF
                         line.dirty = True
                         wstores += 1
                     else:
@@ -537,10 +544,7 @@ class _SpanState:
             while k < stop:
                 tup = mstep[k]
                 if tup is not None:
-                    kind, bid, sidx, w, val = tup
-                    if kind > 1:
-                        rank = 0
-                        break
+                    kind, bid, sidx, w, val, off = tup
                     if energy < access_amount:
                         rank = 1
                         break
@@ -569,10 +573,13 @@ class _SpanState:
                     if ovh:
                         ovh_pending = ovh_pending + hit_ovh
                     states = line.meta.states
-                    if kind:
+                    if kind & 1:
                         if states[w] == _UNKNOWN:
                             states[w] = _WRITE
-                        line.words[w] = val
+                        if kind == 1:
+                            line.words[w] = val
+                        else:
+                            line.data[off] = val & 0xFF
                         line.dirty = True
                         wstores += 1
                     else:
@@ -606,7 +613,7 @@ class _SpanState:
                     if ovh:
                         ovh_pending = ovh_pending + oa
                 k += 1
-        revoke = self.jstatic and rank in (0, 2, 5, 6, 7)
+        revoke = self.jstatic and rank in (2, 5, 6, 7)
         return (k, energy, fwd_pending, ovh_pending, floor, skipped,
                 budget, wextra, wloads, wstores, revoke)
 
@@ -756,11 +763,11 @@ class ReplayPlatform(Platform):
                 and getattr(hook, "__self__", None) is self.policy
             ):
                 # The policy's retire hook only inspects instruction
-                # opcodes, and those sit at fixed trace positions: a
-                # precomputed per-step mask replaces the hook and the
+                # opcodes, and those sit at fixed trace positions: the
+                # precomputed boundary steps replace the hook and the
                 # run keeps the turbo stream loop (inline hit path)
                 # instead of dropping to the hooked reference mirror.
-                boundary = self._image.boundary_steps(
+                boundary = self._image.boundary_positions(
                     self.program, kernel.opcodes
                 )
                 self.core.on_retire = None
@@ -781,10 +788,12 @@ class ReplayPlatform(Platform):
 
         Compiled-epoch (:mod:`repro.sim.epochs`) when enabled — by the
         ``compiled=`` override or the ``REPRO_REPLAY_COMPILED`` knob —
-        with automatic fallback to the scalar :class:`_SpanState` when
-        construction fails; scalar otherwise.  Both are bit-identical;
-        only the batching differs.  The policy's guard kernel (if any)
-        is threaded through so the executor can renew guards in-array.
+        and the scalar :class:`_SpanState` otherwise.  Both are
+        bit-identical; only the batching differs.  A failing compiled
+        construction is a bug and propagates (a corrupt stored script
+        already reads as a miss and is rebuilt).  The policy's guard
+        kernel (if any) is threaded through so the executor can renew
+        guards in-array.
         """
         from repro.sim import epochs
 
@@ -812,15 +821,12 @@ class ReplayPlatform(Platform):
                 stats.note_fallback("policy_hint")
                 use_compiled = False
         if use_compiled:
-            span = epochs.make_span(
+            return epochs.CompiledSpanState(
                 self._image, self.arch, jstatic, dirty_reorder,
                 step_energy, access_amount, hit_amount,
                 overhead_leak, hit_ovh,
                 kernel=kernel, stats=stats,
             )
-            if span is not None:
-                return span
-            stats.note_fallback("construction")
         return _SpanState(
             self._image, self.arch, jstatic, dirty_reorder,
             step_energy, access_amount, hit_amount,
@@ -845,11 +851,14 @@ class ReplayPlatform(Platform):
         the nested per-cycle overhead charge the nvmr MTC adds to every
         step, with each shape's float chain kept bit for bit).
 
-        ``boundary``, when given, is a per-step boolean mask standing
-        in for a boundary guard kernel's retire hook (see ``run``):
-        the kernel's ``note_boundary`` fires at exactly the retire
-        points the hook would have seen, and the run keeps this loop's
-        turbo inline hit path.
+        ``boundary``, when given, is the sorted list of step positions
+        standing in for a boundary guard kernel's retire hook (see
+        ``run``): the kernel's ``note_boundary`` fires at exactly the
+        retire points the hook would have seen, and the run keeps this
+        loop's turbo inline hit path.  A boundary moves the policy's
+        threshold, which a cycle-budget guard cannot foresee, so
+        quantum windows end at the next boundary and the general body
+        revokes the guard on a boundary step.
         """
         image = self._image
         cyc = image.cycles
@@ -904,9 +913,13 @@ class ReplayPlatform(Platform):
         dirty_reorder = getattr(arch, "estimate_reorder_sensitive", True)
         arch_load = arch.load
         arch_store = arch.store
-        note_boundary = (
-            self._gkernel.note_boundary if boundary is not None else None
-        )
+        if boundary is not None:
+            note_boundary = self._gkernel.note_boundary
+            # ``n`` caps the bisection: no window reaches past it.
+            bpos = boundary + [n]
+            bset = frozenset(boundary)
+        else:
+            bpos = bset = None
         rstats = self.stats
         span = None
         if turbo and injector is None and use_decide:
@@ -948,13 +961,18 @@ class ReplayPlatform(Platform):
                     # counters are accumulated locally and synced at
                     # window exit (``wextra`` is both the +1-cycle and
                     # the cache.hits count; nothing reads them
-                    # mid-window).  Memory tuples carry precomputed
-                    # geometry: (kind, addr, block, set, word, value).
+                    # mid-window).  Windows also end at the next call
+                    # boundary (``bpos``), which the general body
+                    # must see.
                     kw = k
                     stop = win_limit
                     rem = max_steps - steps
                     if stop - k > rem:
                         stop = k + rem
+                    if bpos is not None:
+                        b = bpos[bisect_left(bpos, k)]
+                        if b < stop:
+                            stop = b
                     if span is not None:
                         (k, energy, fwd_pending, ovh_pending, floor,
                          skipped, budget, wextra, wloads, wstores,
@@ -1052,97 +1070,70 @@ class ReplayPlatform(Platform):
                             msid = -1
                         kind = op[0]
                         addr = op[1]
-                        if kind == 0:  # load word
-                            if turbo:
-                                stats.loads += 1
-                                block_addr = op[2]
-                                energy = capacitor.energy
-                                if ledger._fwd_touched and energy >= access_amount:
-                                    capacitor.energy = energy - access_amount
-                                    ledger._fwd_pending += access_amount
-                                else:
-                                    charge_forward(access_amount)
-                                lines = sets[op[3]]
-                                i = 0
-                                for line in lines:
-                                    if line.valid and line.block_addr == block_addr:
-                                        if i:
-                                            lines.insert(0, lines.pop(i))
-                                        cache.hits += 1
-                                        word = op[4]
-                                        states = line.meta.states
-                                        if states[word] == _UNKNOWN:
-                                            states[word] = _READ
-                                        cycles = cyc[k] + 1
-                                        amount = hit_amount
-                                        if ovh:
-                                            ovh_amount = hit_ovh
-                                        break
-                                    i += 1
-                                else:
-                                    cache.misses += 1
-                                    _value, extra = load_miss(block_addr, addr, 4)
-                                    cycles = cyc[k] + extra
-                                    amount = cycles * step_energy
-                                    if ovh:
-                                        ovh_amount = cycles * overhead_leak
-                            else:
-                                _value, extra = arch_load(addr, 4)
-                                cycles = cyc[k] + extra
-                                amount = cycles * step_energy
-                                if ovh:
-                                    ovh_amount = cycles * overhead_leak
-                        elif kind == 1:  # store word
-                            value = op[-1]
-                            if turbo:
+                        if turbo:
+                            # CachedArchitecture.load/store inlined for
+                            # word and byte accesses alike (tuples:
+                            # kind, addr, block, set, word, value).
+                            if kind & 1:
                                 stats.stores += 1
-                                block_addr = op[2]
-                                energy = capacitor.energy
-                                if ledger._fwd_touched and energy >= access_amount:
-                                    capacitor.energy = energy - access_amount
-                                    ledger._fwd_pending += access_amount
-                                else:
-                                    charge_forward(access_amount)
-                                lines = sets[op[3]]
-                                i = 0
-                                for line in lines:
-                                    if line.valid and line.block_addr == block_addr:
-                                        if i:
-                                            lines.insert(0, lines.pop(i))
-                                        cache.hits += 1
-                                        word = op[4]
-                                        states = line.meta.states
+                            else:
+                                stats.loads += 1
+                            block_addr = op[2]
+                            energy = capacitor.energy
+                            if ledger._fwd_touched and energy >= access_amount:
+                                capacitor.energy = energy - access_amount
+                                ledger._fwd_pending += access_amount
+                            else:
+                                charge_forward(access_amount)
+                            lines = sets[op[3]]
+                            i = 0
+                            for line in lines:
+                                if line.valid and line.block_addr == block_addr:
+                                    if i:
+                                        lines.insert(0, lines.pop(i))
+                                    cache.hits += 1
+                                    word = op[4]
+                                    states = line.meta.states
+                                    if kind & 1:
                                         if states[word] == _UNKNOWN:
                                             states[word] = _WRITE
-                                        line.words[word] = value
+                                        if kind == 1:
+                                            line.words[word] = op[5]
+                                        else:
+                                            line.data[addr & bmask] = op[5] & 0xFF
                                         line.dirty = True
-                                        cycles = cyc[k] + 1
-                                        amount = hit_amount
-                                        if ovh:
-                                            ovh_amount = hit_ovh
-                                        break
-                                    i += 1
-                                else:
-                                    cache.misses += 1
-                                    extra = store_miss(block_addr, addr, value, 4)
-                                    cycles = cyc[k] + extra
-                                    amount = cycles * step_energy
+                                    elif states[word] == _UNKNOWN:
+                                        states[word] = _READ
+                                    cycles = cyc[k] + 1
+                                    amount = hit_amount
                                     if ovh:
-                                        ovh_amount = cycles * overhead_leak
+                                        ovh_amount = hit_ovh
+                                    break
+                                i += 1
                             else:
-                                extra = arch_store(addr, value, 4)
+                                cache.misses += 1
+                                size = 4 if kind < 2 else 1
+                                if kind & 1:
+                                    extra = store_miss(
+                                        block_addr, addr, op[5], size
+                                    )
+                                else:
+                                    _value, extra = load_miss(
+                                        block_addr, addr, size
+                                    )
                                 cycles = cyc[k] + extra
                                 amount = cycles * step_energy
                                 if ovh:
                                     ovh_amount = cycles * overhead_leak
-                        elif kind == 2:  # load byte
-                            _value, extra = arch_load(addr, 1)
-                            cycles = cyc[k] + extra
-                            amount = cycles * step_energy
-                            if ovh:
-                                ovh_amount = cycles * overhead_leak
-                        else:  # store byte
-                            extra = arch_store(addr, op[-1], 1)
+                        else:
+                            if kind & 1:
+                                extra = arch_store(
+                                    addr, op[2], 4 if kind == 1 else 1
+                                )
+                            else:
+                                _value, extra = arch_load(
+                                    addr, 4 if kind == 0 else 1
+                                )
                             cycles = cyc[k] + extra
                             amount = cycles * step_energy
                             if ovh:
@@ -1152,8 +1143,13 @@ class ReplayPlatform(Platform):
                     k += 1
                     if k == halt_at:
                         core.halted = True
-                    if boundary is not None and boundary[k - 1]:
+                    if bset is not None and k - 1 in bset:
                         note_boundary()
+                        # The boundary moved the policy's threshold:
+                        # revoke any cycle-budget guard below, so the
+                        # policy is resynced and consulted for this
+                        # very step.
+                        budget = 0
                     steps += 1
                     self.active_cycles += cycles
                     energy = capacitor.energy

@@ -193,7 +193,7 @@ class ReplayImage:
         "cum_cycles", "_fwd_amounts", "_ovh_amounts", "_cyc_array",
         "_mem_positions", "_mem_kinds", "_mem_addrs", "_mem_values",
         "_geom_layouts", "_span_support", "_span_geoms", "_span_tables",
-        "_content_digest", "_epoch_scripts", "_boundary_masks",
+        "_content_digest", "_epoch_scripts", "_boundary_positions",
     )
 
     def __init__(self, program, trace):
@@ -298,26 +298,25 @@ class ReplayImage:
             trace.digest_material()
         ).hexdigest()
         self._epoch_scripts = {}
-        self._boundary_masks = {}
+        self._boundary_positions = {}
 
-    def boundary_steps(self, program, opcodes):
-        """Per-step ``True`` where the retired opcode is in ``opcodes``.
+    def boundary_positions(self, program, opcodes):
+        """Sorted step indices whose retired opcode is in ``opcodes``.
 
         Boundary-kind guard kernels (e.g. the task policy's call-site
-        detector) consult this mask instead of installing a per-retire
-        core hook: the trace already fixes which instruction retires at
-        every step, so the hook's opcode test is a table lookup.
+        detector) consult these positions instead of installing a
+        per-retire core hook: the trace already fixes which instruction
+        retires at every step, so the hook's opcode test is a table
+        lookup.  Replay ends every quantum window at the next position
+        (found by bisection), so the general body sees each boundary.
         Cached per opcode set.
         """
         key = tuple(sorted(int(op) for op in opcodes))
-        cached = self._boundary_masks.get(key)
+        cached = self._boundary_positions.get(key)
         if cached is None:
-            opset = {int(op) for op in opcodes}
-            hits = [
-                int(instr.op) in opset for instr in program.instructions
-            ]
-            cached = [hits[i] for i in self.indices]
-            self._boundary_masks[key] = cached
+            hits = [int(instr.op) in key for instr in program.instructions]
+            cached = [k for k, i in enumerate(self.indices) if hits[i]]
+            self._boundary_positions[key] = cached
         return cached
 
     def content_digest(self):
@@ -393,9 +392,11 @@ class ReplayImage:
 
         Returns a dict with ``blk`` (int64 block id per memory op),
         ``nblocks``, ``id_of_block`` (block address -> id),
-        ``is_byte`` / ``is_store`` masks, and ``mtups`` — a list of
-        ``(kind, block_id, set_index, word_index, value)`` tuples the
-        post-commit state pass iterates.
+        ``is_byte`` / ``is_store`` masks, and ``mstep`` — the per-step
+        memory tuple (None off memory steps) ``(kind, block_id,
+        set_index, word_index, value, byte_offset)`` that the scalar
+        window and the compiled executor's commit pass both read; the
+        byte offset within the block is what a byte hit writes.
         """
         key = (block_mask, set_shift, set_mask)
         cached = self._span_geoms.get(key)
@@ -406,21 +407,23 @@ class ReplayImage:
         uniq, blk = np.unique(blocks, return_inverse=True)
         blk = blk.astype(np.int64)
         set_idx = (blocks >> set_shift) & set_mask
-        words = (addrs & block_mask) >> 2
+        offsets = addrs & block_mask
+        words = offsets >> 2
         kinds = self._mem_kinds
-        mtups = list(
+        # Per-step memory tuple (or None): the scalar window loop pays
+        # one list index per step instead of two prefix probes.
+        mstep = [None] * self.steps
+        for pos, tup in zip(
+            self._mem_positions,
             zip(
                 kinds.tolist(),
                 blk.tolist(),
                 set_idx.tolist(),
                 words.tolist(),
                 self._mem_values.tolist(),
-            )
-        )
-        # Per-step memory tuple (or None): the scalar window loop pays
-        # one list index per step instead of two prefix probes.
-        mstep = [None] * self.steps
-        for pos, tup in zip(self._mem_positions, mtups):
+                offsets.tolist(),
+            ),
+        ):
             mstep[pos] = tup
         is_store = (kinds == STORE_WORD) | (kinds == STORE_BYTE)
         store_prefix = np.zeros(len(kinds) + 1, dtype=np.int64)
@@ -435,7 +438,6 @@ class ReplayImage:
             "sidx": set_idx.astype(np.int64),
             "word": words.astype(np.int64),
             "val": self._mem_values.astype(np.int64),
-            "mtups": mtups,
             "mstep": mstep,
         }
         self._span_geoms[key] = cached

@@ -140,6 +140,59 @@ def test_spendthrift_training_accuracy():
     assert accuracy >= 0.93
 
 
+def _train_with_fresh_temporaries(seed, hidden, samples, epochs,
+                                  learning_rate):
+    """The original training loop, one fresh array per expression."""
+    from repro.policies.spendthrift import _oracle_dataset
+
+    rng = np.random.default_rng(seed)
+    features, labels = _oracle_dataset(rng, samples)
+    _oracle_dataset(rng, samples // 3)  # held-out draw, same RNG stream
+    w1 = rng.normal(0.0, 0.5, (features.shape[1], hidden))
+    b1 = np.zeros(hidden)
+    w2 = rng.normal(0.0, 0.5, hidden)
+    b2 = 0.0
+    n = len(labels)
+    for _ in range(epochs):
+        hidden_act = np.tanh(features @ w1 + b1)
+        logits = hidden_act @ w2 + b2
+        probs = 1.0 / (1.0 + np.exp(-logits))
+        grad_logits = (probs - labels) / n
+        grad_w2 = hidden_act.T @ grad_logits
+        grad_b2 = grad_logits.sum()
+        grad_hidden = np.outer(grad_logits, w2) * (1.0 - hidden_act**2)
+        grad_w1 = features.T @ grad_hidden
+        grad_b1 = grad_hidden.sum(axis=0)
+        w1 -= learning_rate * grad_w1
+        b1 -= learning_rate * grad_b1
+        w2 -= learning_rate * grad_w2
+        b2 -= learning_rate * grad_b2
+    return w1, b1, w2, b2
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {},  # the default model every Spendthrift run uses
+        {"seed": 42, "hidden": 5, "samples": 999, "epochs": 37,
+         "learning_rate": 0.3},
+    ],
+    ids=["default", "small"],
+)
+def test_spendthrift_training_is_bit_identical_to_fresh_temporaries(kwargs):
+    """Training into preallocated buffers must not move a single bit of
+    the weights the plain per-expression loop produces."""
+    params = {"seed": 1234, "hidden": 8, "samples": 6000, "epochs": 400,
+              "learning_rate": 0.5}
+    params.update(kwargs)
+    model, _ = train_spendthrift_model(**params)
+    w1, b1, w2, b2 = _train_with_fresh_temporaries(**params)
+    assert model.weights1.tobytes() == w1.tobytes()
+    assert model.bias1.tobytes() == b1.tobytes()
+    assert model.weights2.tobytes() == w2.tobytes()
+    assert np.float64(model.bias2).tobytes() == np.float64(b2).tobytes()
+
+
 def test_spendthrift_model_separates_clear_cases():
     model, _ = train_spendthrift_model()
     must_backup = np.array([0.05, 0.3, 0.5])

@@ -13,6 +13,8 @@ equivalence holds on inputs no benchmark happens to produce:
   of a real run (including after every dirty-set re-anchor),
 * the Spendthrift ``trip()`` == the scalar ``resync + decide`` pair,
   RNG draws and counter mutations included,
+* the task policy's cycle-budget guard, revoked at every call
+  boundary, == ``after_step`` on every step,
 * a corrupted stored script reads as a miss and is rebuilt, never
   replayed silently.
 """
@@ -32,6 +34,7 @@ from repro.policies.spendthrift import (
     _SpendthriftBudgetKernel,
     default_model,
 )
+from repro.policies.task import TaskBoundaryPolicy
 from repro.sim import epochs
 from repro.sim.platform import Platform, PlatformConfig
 from repro.sim.replay import ReplayPlatform, get_image, guard_kernels_enabled
@@ -297,6 +300,68 @@ def test_spendthrift_trip_matches_scalar_resync_decide(
         assert compiled._since_check == scalar._since_check == 0
     assert (compiled._rng.bit_generator.state
             == scalar._rng.bit_generator.state)
+
+
+# ------------------------- task guard == after_step on every step
+@settings(max_examples=300, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=40),  # step cycles
+            st.booleans(),  # the step retires a ``bl`` boundary
+            st.integers(min_value=0, max_value=30),  # 0: power failure
+        ),
+        min_size=1,
+        max_size=200,
+    ),
+    min_task=st.integers(min_value=1, max_value=150),
+    extra=st.integers(min_value=0, max_value=300),
+)
+def test_task_guard_matches_after_step_on_every_step(steps, min_task, extra):
+    """Skipping while guarded, revoking at boundaries and resyncing —
+    the replay loop's protocol — must reproduce the actions and the
+    ``_since_backup`` counter of consulting ``after_step`` every step.
+
+    Power failures (``on_period_start``) drop the guard without a
+    resync, as in the replay loop; a BACKUP calls ``on_backup``."""
+    ref = TaskBoundaryPolicy(min_task, min_task + extra)
+    fast = TaskBoundaryPolicy(min_task, min_task + extra)
+    guarded = False
+    skipped = budget = 0
+    resync = None
+    for cycles, is_boundary, failure in steps:
+        if failure == 0:
+            ref.on_period_start(None, None)
+            fast.on_period_start(None, None)
+            guarded = False
+        if is_boundary:
+            ref._boundary_seen = True
+        expected = ref.after_step(None, cycles)
+        if expected == PolicyAction.BACKUP:
+            ref.on_backup(None)
+        if is_boundary:
+            fast._boundary_seen = True
+            budget = 0  # revoke: the boundary moved the threshold
+        if guarded:
+            skipped += cycles
+            if skipped < budget:
+                assert expected == PolicyAction.NONE
+                assert fast._since_backup + skipped == ref._since_backup
+                continue
+            resync(skipped - cycles)
+            guarded = False
+        action, guard = fast.decide(None, cycles)
+        assert action == expected
+        if action == PolicyAction.BACKUP:
+            fast.on_backup(None)
+            assert guard is None
+        else:
+            _floor, _growth, budget, resync = guard
+            assert budget > 0
+            skipped = 0
+            guarded = True
+        assert fast._since_backup == ref._since_backup
+        assert fast._boundary_seen == ref._boundary_seen
 
 
 # ------------------------------------------- corrupted script == miss

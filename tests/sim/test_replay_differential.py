@@ -96,9 +96,6 @@ def _compare(bench, config, seed=0):
             assert out[1] == sim_out[1], tag
     scalar_plat = others["scalar-replay"][1]
     compiled_plat = others["compiled-replay"][1]
-    # ``epochs.make_span`` turns a constructor error into a silent
-    # scalar fallback; no cell of the matrix may take that route.
-    assert "construction" not in compiled_plat.stats.fallbacks
     if sim_out[0] == "ok":
         # Both replay modes must land on the same committed checkpoint
         # cursor — the trace position a restore would resume from.
@@ -118,6 +115,35 @@ def test_replay_matches_simulator_across_matrix(arch, policy):
 @pytest.mark.parametrize("arch", ["clank", "nvmr"])
 def test_replay_matches_simulator_across_benchmarks(bench, arch):
     _compare(bench, PlatformConfig(arch=arch, policy="jit"), seed=1)
+
+
+@pytest.mark.parametrize("policy", ["jit", "spendthrift", "watchdog"])
+@pytest.mark.parametrize("arch", ["clank", "nvmr"])
+def test_replay_matches_simulator_on_byte_ops(arch, policy):
+    """stringsearch issues ~5.8k byte loads/stores, which the replay
+    windows serve on their inline hit path like word accesses."""
+    _compare("stringsearch", PlatformConfig(arch=arch, policy=policy))
+
+
+#: The task policy's default thresholds plus its tuned sub-grid values
+#: (see TUNED_SUBGRID below).
+TASK_CELLS = [{}, {"min_task_cycles": 500}, {"max_task_cycles": 12000}]
+
+
+@pytest.mark.parametrize(
+    "kwargs", TASK_CELLS,
+    ids=["default", "min_task_cycles=500", "max_task_cycles=12000"],
+)
+@pytest.mark.parametrize("arch", ["clank", "nvmr"])
+@pytest.mark.parametrize("bench", ["qsort", "adpcm_encode"])
+def test_replay_matches_simulator_at_task_boundaries(bench, arch, kwargs):
+    """qsort and adpcm_encode retire hundreds of ``bl`` boundaries (hist
+    only six), where replay revokes the task policy's cycle-budget
+    guard and ends its windows."""
+    _compare(
+        bench,
+        PlatformConfig(arch=arch, policy="task", policy_kwargs=dict(kwargs)),
+    )
 
 
 @pytest.mark.parametrize("policy", ["jit", "watchdog"])
@@ -196,8 +222,9 @@ def test_ideal_is_bypassed():
 
 
 def test_compiled_knob_and_fallback(monkeypatch):
-    """``REPRO_REPLAY_COMPILED`` selects the window executor, and any
-    construction failure falls back to the scalar window silently."""
+    """``REPRO_REPLAY_COMPILED`` selects the window executor; with the
+    compiled executor selected, a construction failure surfaces instead
+    of degrading to the scalar window."""
     from repro.sim import epochs
     from repro.sim.replay import _SpanState
 
@@ -226,13 +253,32 @@ def test_compiled_knob_and_fallback(monkeypatch):
         benchmark_name="hist", compiled=False,
     )
     assert type(span_of(forced_off)) is _SpanState
-    # Construction failure (a poisoned script store, an unexpected
-    # geometry) must degrade to the scalar window, never to an error.
+    # A raising script lowering is a bug, not a reason to run slower.
+    # (A corrupt *stored* script is a miss: see test_guard_kernels.)
     def boom(*args, **kwargs):
-        raise RuntimeError("poisoned script")
+        raise RuntimeError("broken script lowering")
 
     monkeypatch.setattr(epochs, "get_script", boom)
-    assert type(span_of(platform)) is _SpanState
+    with pytest.raises(RuntimeError, match="broken script lowering"):
+        span_of(platform)
+
+
+def test_span_construction_error_propagates(monkeypatch):
+    """A raising ``CompiledSpanState`` constructor must fail the run,
+    not quietly fall back to the scalar window."""
+    from repro.sim import epochs
+
+    def broken_init(self, *args, **kwargs):
+        raise RuntimeError("broken compiled span")
+
+    monkeypatch.setattr(epochs.CompiledSpanState, "__init__", broken_init)
+    platform = ReplayPlatform(
+        load_program("hist"), get_image("hist"),
+        PlatformConfig(arch="nvmr", policy="jit"),
+        trace=HarvestTrace(0), benchmark_name="hist", compiled=True,
+    )
+    with pytest.raises(RuntimeError, match="broken compiled span"):
+        platform.run()
 
 
 def test_compiled_replay_equals_scalar_under_adversarial_chunking(monkeypatch):
