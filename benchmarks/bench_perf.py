@@ -45,7 +45,7 @@ TRACES = 2
 
 def _warmup():
     """Pay every one-time cost (benchmark compilation, reference
-    outputs, the Spendthrift model's lazy training) outside timing."""
+    outputs) outside timing."""
     from repro.workloads import load_program, run_workload
 
     for bench in WORKLOADS:

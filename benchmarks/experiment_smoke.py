@@ -11,11 +11,16 @@ Runs the **full experiment registry** at smoke settings twice:
    shards really go through the disk layer (as separate machines
    would).
 
+After the serial pass it prints the store's bytes per namespace (run
+records, then each trace-store namespace).
+
 The gate fails if any final shard cannot reduce (the disk cache did
 not make the other slices visible), if any sharded result differs from
 its serial result (the engine's determinism promise: sharded-union ==
-unsharded, bit for bit), or if the shared cache holds fewer entries
-than the number of distinct jobs simulated.
+unsharded, bit for bit), if the shared cache holds fewer entries
+than the number of distinct jobs simulated, or if either store holds
+a ``scripts/`` entry (epoch scripts are built in memory, never
+persisted).
 
 Usage::
 
@@ -41,6 +46,25 @@ def _canonical(result):
     from repro.analysis.engine import _encode
 
     return json.dumps(_encode(result), sort_keys=True)
+
+
+def _store_bytes(root):
+    """Bytes per namespace of the store at ``root``: the run records at
+    its top level, then each trace-store namespace directory."""
+    sizes = {"runs": sum(p.stat().st_size for p in root.glob("*.json"))}
+    traces = root / "traces"
+    if traces.is_dir():
+        for namespace in sorted(p for p in traces.iterdir() if p.is_dir()):
+            sizes[f"traces/{namespace.name}"] = sum(
+                p.stat().st_size for p in namespace.rglob("*") if p.is_file()
+            )
+    return sizes
+
+
+def _script_entries(root):
+    """Files under any ``scripts/`` directory of the store at ``root``."""
+    return [p for p in root.rglob("*")
+            if p.is_file() and "scripts" in p.relative_to(root).parts]
 
 
 def main(argv=None):
@@ -84,6 +108,8 @@ def main(argv=None):
             serial[name] = _canonical(run.result)
             print(f"serial  {name}: {run.jobs_total} jobs, "
                   f"{run.fresh_runs} fresh")
+        for namespace, size in _store_bytes(serial_dir).items():
+            print(f"store   {namespace}: {size} bytes")
 
         os.environ["REPRO_CACHE_DIR"] = str(shared_dir)
         distinct_jobs = set()
@@ -116,6 +142,13 @@ def main(argv=None):
                 f"shared cache holds {cached} entries for "
                 f"{len(distinct_jobs)} distinct jobs"
             )
+        for root in (serial_dir, shared_dir):
+            written = _script_entries(root)
+            if written:
+                failures.append(
+                    f"{len(written)} epoch-script entries written under "
+                    f"{root.name}/ (first: {written[0].relative_to(root)})"
+                )
 
     for failure in failures:
         print(f"FAIL: {failure}")

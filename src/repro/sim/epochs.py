@@ -77,49 +77,30 @@ breaking step the simulator's check order decides which break wins
 reorder hazard) — the candidates below carry the same rank numbers the
 scalar loop uses, and the earliest (step, rank) pair wins.
 
-Script store
-------------
-Scripts are content-addressed on disk beside the trace store
-(``<trace store>/scripts/<key>.npz`` via :mod:`repro.store`): the key
-digests the trace's *content* digest, the cache geometry, the cost
-table and the script encoding version, so a ``TRACE_VERSION`` bump (a
-new trace content) or an encoding change simply misses old entries.
-Corrupt or stale entries read as misses and are rebuilt.  Members are
-stored *uncompressed* and loaded with ``np.load(..., mmap_mode="r")``
-plus an in-place ``np.memmap`` per member, so sweep workers opening
-the same script share one page-cache copy instead of each inflating
-its own.
+Scripts in memory
+-----------------
+A script is plain data derived from its :class:`ReplayImage`; nothing
+is written to disk.  :func:`get_script` keeps a small LRU on the image
+(:func:`fetch_script`) and lowers a fresh script on a miss
+(:meth:`EpochScript.build`, a few milliseconds), so every process —
+sweep workers included — builds the scripts it replays.
 
 ``REPRO_REPLAY_COMPILED=0`` disables the compiled path process-wide.
 A failing :class:`CompiledSpanState` construction is a bug and
-propagates; only a corrupt or stale stored script is forgiven (it
-reads as a miss and is rebuilt).
+propagates.
 """
 
-import io
 import os
-import struct
-import zipfile
-from bisect import bisect_left
 
 import numpy as np
-from numpy.lib import format as npf
 
 from repro.mem.bloom import WordState
 from repro.policies.base import guard_trip_step
-from repro.sim import tracestore
 from repro.sim.replay import _SpanState
-from repro.sim.trace import TRACE_VERSION
-from repro.store import Store, digest
 
 _UNKNOWN = WordState.UNKNOWN
 _READ = WordState.READ
 _WRITE = WordState.WRITE
-
-#: Bumped whenever the epoch-script encoding or its semantics change;
-#: stale stored scripts are ignored, never silently replayed.  v2:
-#: uncompressed members (memory-mappable in place).
-EPOCH_SCRIPT_VERSION = 2
 
 #: Steps run through the scalar window before the vectorized scan
 #: engages: short windows (the common case at guard entry) never pay
@@ -270,222 +251,33 @@ class EpochScript:
         return script
 
 
-# --------------------------------------------------- content-addressed
-def scripts_enabled():
-    """The script store shares the run cache's kill switch."""
-    return tracestore.enabled()
-
-
-def _scripts():
-    return Store(tracestore.store_dir()).namespace("scripts", suffix=".npz")
-
-
-def script_key(trace_digest, geom_key, cost_key):
-    """Digest naming one script: trace content + geometry + costs."""
-    return digest(
-        {
-            "script_version": EPOCH_SCRIPT_VERSION,
-            "trace_version": TRACE_VERSION,
-            "trace": trace_digest,
-            "geometry": [int(g) for g in geom_key],
-            "cost": [None if c is None else float(c) for c in cost_key],
-        }
-    )
-
-
-def _script_to_bytes(script):
-    buffer = io.BytesIO()
-    arrays = {
-        "meta": np.asarray(
-            [EPOCH_SCRIPT_VERSION, script.steps, script.nblocks,
-             script.wpb, int(script.ovh)],
-            dtype=np.int64,
-        ),
-        "starts": script.starts,
-        "flat": script.flat,
-        "cyc_cum": script.cyc_cum,
-        "mprefix": script.mprefix,
-        "mpos": script.mpos,
-        "blk": script.blk,
-        "is_byte": script.is_byte,
-        "is_store": script.is_store,
-        "store_prefix": script.store_prefix,
-        "sidx": script.sidx,
-        "word": script.word,
-        "val": script.val,
-    }
-    if script.ovh:
-        arrays["fwd_starts"] = script.fwd_starts
-        arrays["fwd_flat"] = script.fwd_flat
-        arrays["ovh_add"] = script.ovh_add
-    # Uncompressed on purpose: members stay memory-mappable in place
-    # (see _mapped_members) and the arrays are mostly incompressible
-    # float streams anyway.
-    np.savez(buffer, **arrays)
-    return buffer.getvalue()
-
-
-def _mapped_members(path):
-    """True memory maps of every member of an *uncompressed* ``.npz``.
-
-    ``np.load(..., mmap_mode="r")`` inflates npz members into fresh
-    private arrays even when they were stored uncompressed, so sweep
-    workers each pay a full copy of every script they open.  The
-    members of an uncompressed zip are plain ``.npy`` files at known
-    offsets: parse the zip local header for the payload offset and the
-    npy header for (shape, order, dtype), then map the data in place —
-    one shared page-cache copy per script, no matter how many workers
-    replay it.  Raises on anything unexpected (compressed member,
-    foreign file, malformed header); the caller then serves the
-    eagerly loaded arrays instead.
-    """
-    out = {}
-    with zipfile.ZipFile(path) as archive, open(path, "rb") as f:
-        for info in archive.infolist():
-            name = info.filename
-            if (not name.endswith(".npy")
-                    or info.compress_type != zipfile.ZIP_STORED):
-                raise ValueError(f"unmappable npz member: {name}")
-            f.seek(info.header_offset)
-            local = f.read(30)
-            if len(local) != 30 or local[:4] != b"PK\x03\x04":
-                raise ValueError("bad zip local header")
-            nlen, elen = struct.unpack("<HH", local[26:30])
-            f.seek(info.header_offset + 30 + nlen + elen)
-            read_header = {
-                (1, 0): npf.read_array_header_1_0,
-                (2, 0): npf.read_array_header_2_0,
-            }[npf.read_magic(f)]
-            shape, fortran, dtype = read_header(f)
-            key = name[: -len(".npy")]
-            if int(np.prod(shape)) == 0:
-                # Zero-length maps are rejected by mmap; the header is
-                # the whole member.
-                out[key] = np.empty(shape, dtype=dtype)
-            else:
-                out[key] = np.memmap(
-                    path, mode="r", dtype=dtype, shape=shape,
-                    offset=f.tell(), order="F" if fortran else "C",
-                )
-    return out
-
-
-def _script_from_arrays(arrays):
-    meta = arrays["meta"]
-    if int(meta[0]) != EPOCH_SCRIPT_VERSION:
-        return None  # stale encoding: a miss, never a silent replay
-    # Serve plain-ndarray views over the mapped buffers: scalar
-    # indexing on an np.memmap subclass pays ~3x in __array_finalize__
-    # churn, and the executors index these arrays tens of thousands of
-    # times per run.  The view keeps the map alive through .base —
-    # still zero-copy, one shared page-cache image per script.
-    arrays = {
-        name: (a.view(np.ndarray) if isinstance(a, np.memmap) else a)
-        for name, a in arrays.items()
-    }
-    script = EpochScript()
-    script.steps = int(meta[1])
-    script.nblocks = int(meta[2])
-    script.wpb = int(meta[3])
-    script.ovh = bool(meta[4])
-    script.starts = arrays["starts"]
-    script.flat = arrays["flat"]
-    script.estep = script.starts[1:] - 1
-    script.cyc_cum = arrays["cyc_cum"]
-    script.cyc_cum_py = None
-    script.mprefix = arrays["mprefix"]
-    script.mpos = arrays["mpos"]
-    script.blk = arrays["blk"]
-    script.is_byte = arrays["is_byte"]
-    script.is_store = arrays["is_store"]
-    script.store_prefix = arrays["store_prefix"]
-    script.sidx = arrays["sidx"]
-    script.word = arrays["word"]
-    script.val = arrays["val"]
-    if script.ovh:
-        script.fwd_starts = arrays["fwd_starts"]
-        script.fwd_flat = arrays["fwd_flat"]
-        script.ovh_add = arrays["ovh_add"]
-    else:
-        script.fwd_starts = script.starts
-        script.fwd_flat = script.flat
-        script.ovh_add = None
+# --------------------------------------------------------- script LRU
+def fetch_script(image, geom_key, cost_key):
+    """The script ``image`` already holds for one (geometry, cost)
+    pair, or None; a hit is refreshed in the image's LRU."""
+    cache = image._epoch_scripts
+    key = (geom_key, cost_key)
+    script = cache.get(key)
+    if script is not None:
+        cache[key] = cache.pop(key)
     return script
-
-
-def fetch_script(trace_digest, geom_key, cost_key):
-    """Load a stored script, or None on miss/disabled/stale/corrupt."""
-    if not scripts_enabled():
-        return None
-    path = _scripts().path(script_key(trace_digest, geom_key, cost_key))
-    try:
-        with np.load(path, mmap_mode="r") as archive:
-            members = list(archive.files)
-            # Materialize only the (tiny) meta member up front: it
-            # validates the zip and carries the version stamp.  The
-            # bulk arrays are served as true memory maps below; eagerly
-            # inflating them here would pay the full read the maps
-            # exist to avoid.
-            meta = archive["meta"]
-    except (FileNotFoundError, KeyError, ValueError, OSError, EOFError,
-            zipfile.BadZipFile):
-        return None  # miss or corrupt entry; rebuilt by the caller
-    try:
-        arrays = _mapped_members(path)
-        if not all(name in arrays for name in members):
-            raise KeyError("npz member set mismatch")
-        arrays["meta"] = meta
-    except (KeyError, ValueError, OSError, EOFError, struct.error):
-        # Surprising layout (compressed member, foreign writer): fall
-        # back to the eager full read rather than miss.
-        try:
-            with np.load(path) as archive:
-                arrays = {name: archive[name] for name in archive.files}
-        except (KeyError, ValueError, OSError, EOFError,
-                zipfile.BadZipFile):
-            return None
-    try:
-        return _script_from_arrays(arrays)
-    except KeyError:
-        return None  # member missing: corrupt entry, treat as a miss
-
-
-def store_script(trace_digest, geom_key, cost_key, script):
-    """Persist a script; no-op when the store is disabled."""
-    if not scripts_enabled():
-        return
-    _scripts().write_bytes(
-        script_key(trace_digest, geom_key, cost_key), _script_to_bytes(script)
-    )
-
-
-def clear_scripts():
-    """Delete every stored script; returns the number removed."""
-    return _scripts().clear()
 
 
 def get_script(image, geom_key, cost_key):
     """Fetch-or-build the epoch script for one (geometry, cost) pair.
 
-    Three layers, mirroring the trace store: a small LRU on the image
-    (sweeps re-enter with the same few cost tables), then the
-    content-addressed disk store, then a fresh lowering (persisted for
-    sibling workers).
+    Scripts are derived in memory from the image and kept in a small
+    per-image LRU (sweeps re-enter with the same few cost tables); a
+    miss lowers a fresh one.  Lowering costs about as much as one
+    short replay, far less than writing the arrays out would.
     """
-    cache = image._epoch_scripts
-    key = (geom_key, cost_key)
-    script = cache.get(key)
-    if script is not None:
-        cache[key] = cache.pop(key)  # LRU: refresh on hit
-        return script
-    trace_digest = image.content_digest()
-    script = fetch_script(trace_digest, geom_key, cost_key)
+    script = fetch_script(image, geom_key, cost_key)
     if script is None:
         script = EpochScript.build(image, geom_key, cost_key)
-        store_script(trace_digest, geom_key, cost_key, script)
-    if len(cache) >= _IMAGE_CACHE_CAP:
-        cache.pop(next(iter(cache)))
-    cache[key] = script
+        cache = image._epoch_scripts
+        if len(cache) >= _IMAGE_CACHE_CAP:
+            cache.pop(next(iter(cache)))
+        cache[(geom_key, cost_key)] = script
     return script
 
 
@@ -1183,7 +975,7 @@ class CompiledSpanState(_SpanState):
             line_of = self.line_of
             sets = self.sets
             for p in script.mpos[ma:mz].tolist():
-                kind, bid, sx, w, val, _off = mstep[p]
+                kind, bid, sx, w, val, _off, _addr = mstep[p]
                 line = line_of[bid]
                 states = line.meta.states
                 if kind:

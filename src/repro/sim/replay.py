@@ -36,8 +36,9 @@ compiled windows span whole active periods; ``per-run`` coverage is
 recorded in :attr:`ReplayPlatform.stats`.  ``REPRO_REPLAY_COMPILED=0``
 (or ``ReplayPlatform(..., compiled=False)``) forces the scalar
 :class:`_SpanState`; ``REPRO_REPLAY_GUARD_KERNELS=0`` keeps compiled
-windows but disables in-array guard renewal.  A compiled-span
-construction failure propagates; a corrupt stored script is a miss.
+windows but disables in-array guard renewal.  Epoch scripts live in
+memory only, built per process; a compiled-span construction failure
+propagates.
 
 Fault injectors (:mod:`repro.energy.faultinject`) work under replay —
 their hooks fire at the same execution boundaries — which the
@@ -310,7 +311,7 @@ class _SpanState:
         """
         if self.stale:
             return -1
-        kind, bid, sidx, _w, _val, _off = self.mstep[k]
+        kind, bid, sidx, _w, _val, _off, _addr = self.mstep[k]
         line = self.line_of.get(bid)
         if line is None:
             if self.jstatic and self.dirty_reorder:
@@ -394,7 +395,7 @@ class _SpanState:
             while k < stop:
                 tup = mstep[k]
                 if tup is not None:
-                    kind, bid, sidx, w, val, off = tup
+                    kind, bid, sidx, w, val, off, _addr = tup
                     if energy < access_amount:
                         rank = 1
                         break
@@ -469,7 +470,7 @@ class _SpanState:
             while k < stop:
                 tup = mstep[k]
                 if tup is not None:
-                    kind, bid, sidx, w, val, off = tup
+                    kind, bid, sidx, w, val, off, _addr = tup
                     if energy < access_amount:
                         rank = 1
                         break
@@ -544,7 +545,7 @@ class _SpanState:
             while k < stop:
                 tup = mstep[k]
                 if tup is not None:
-                    kind, bid, sidx, w, val, off = tup
+                    kind, bid, sidx, w, val, off, _addr = tup
                     if energy < access_amount:
                         rank = 1
                         break
@@ -790,8 +791,7 @@ class ReplayPlatform(Platform):
         ``compiled=`` override or the ``REPRO_REPLAY_COMPILED`` knob —
         and the scalar :class:`_SpanState` otherwise.  Both are
         bit-identical; only the batching differs.  A failing compiled
-        construction is a bug and propagates (a corrupt stored script
-        already reads as a miss and is rebuilt).  The policy's guard
+        construction is a bug and propagates.  The policy's guard
         kernel (if any) is threaded through so the executor can renew
         guards in-array.
         """
@@ -899,7 +899,7 @@ class ReplayPlatform(Platform):
             store_miss = arch._store_miss
             hit_amount = 3 * step_energy
             hit_ovh = 3 * overhead_leak if ovh else 0.0
-            memops = image.mem_layout(bmask, shift, smask)
+            memops = image.span_geometry(bmask, shift, smask)["mstep"]
         else:
             memops = image.memops
         # Event-revoked guard (see BackupPolicy.guard_event_revoke):
@@ -924,7 +924,7 @@ class ReplayPlatform(Platform):
         span = None
         if turbo and injector is None and use_decide:
             # Policies without a decide() never grant guards, so no
-            # window ever runs — skip building (or loading) the span.
+            # window ever runs — skip building the span.
             span = self._make_span(
                 jstatic, dirty_reorder,
                 step_energy, access_amount, hit_amount,
@@ -1069,38 +1069,39 @@ class ReplayPlatform(Platform):
                         else:
                             msid = -1
                         kind = op[0]
-                        addr = op[1]
                         if turbo:
                             # CachedArchitecture.load/store inlined for
                             # word and byte accesses alike (tuples:
-                            # kind, addr, block, set, word, value).
+                            # kind, block id, set, word, value, byte
+                            # offset, addr).
                             if kind & 1:
                                 stats.stores += 1
                             else:
                                 stats.loads += 1
-                            block_addr = op[2]
+                            addr = op[6]
+                            block_addr = addr - op[5]
                             energy = capacitor.energy
                             if ledger._fwd_touched and energy >= access_amount:
                                 capacitor.energy = energy - access_amount
                                 ledger._fwd_pending += access_amount
                             else:
                                 charge_forward(access_amount)
-                            lines = sets[op[3]]
+                            lines = sets[op[2]]
                             i = 0
                             for line in lines:
                                 if line.valid and line.block_addr == block_addr:
                                     if i:
                                         lines.insert(0, lines.pop(i))
                                     cache.hits += 1
-                                    word = op[4]
+                                    word = op[3]
                                     states = line.meta.states
                                     if kind & 1:
                                         if states[word] == _UNKNOWN:
                                             states[word] = _WRITE
                                         if kind == 1:
-                                            line.words[word] = op[5]
+                                            line.words[word] = op[4]
                                         else:
-                                            line.data[addr & bmask] = op[5] & 0xFF
+                                            line.data[op[5]] = op[4] & 0xFF
                                         line.dirty = True
                                     elif states[word] == _UNKNOWN:
                                         states[word] = _READ
@@ -1115,7 +1116,7 @@ class ReplayPlatform(Platform):
                                 size = 4 if kind < 2 else 1
                                 if kind & 1:
                                     extra = store_miss(
-                                        block_addr, addr, op[5], size
+                                        block_addr, addr, op[4], size
                                     )
                                 else:
                                     _value, extra = load_miss(
@@ -1126,6 +1127,7 @@ class ReplayPlatform(Platform):
                                 if ovh:
                                     ovh_amount = cycles * overhead_leak
                         else:
+                            addr = op[1]
                             if kind & 1:
                                 extra = arch_store(
                                     addr, op[2], 4 if kind == 1 else 1

@@ -36,7 +36,6 @@ amounts (the products are formed exactly as the simulator forms them,
 so replays stay bit-identical).
 """
 
-import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -189,11 +188,11 @@ class ReplayImage:
     """
 
     __slots__ = (
-        "steps", "halted", "indices", "cycles", "memops", "pcs",
+        "steps", "halted", "indices", "cycles", "pcs",
         "cum_cycles", "_fwd_amounts", "_ovh_amounts", "_cyc_array",
         "_mem_positions", "_mem_kinds", "_mem_addrs", "_mem_values",
-        "_geom_layouts", "_span_support", "_span_geoms", "_span_tables",
-        "_content_digest", "_epoch_scripts", "_boundary_positions",
+        "_memops", "_span_support", "_span_geoms", "_span_tables",
+        "_epoch_scripts", "_boundary_positions",
     )
 
     def __init__(self, program, trace):
@@ -254,13 +253,6 @@ class ReplayImage:
         # the cache commits them.
         values = np.zeros(len(mem_positions), dtype=np.uint32)
         values[store_mask] = trace.store_values
-        positions = mem_positions.tolist()
-        memops = [None] * n
-        for pos, tup in zip(
-            positions,
-            zip(kinds.tolist(), trace.mem_addrs.tolist(), values.tolist()),
-        ):
-            memops[pos] = tup
         code_base = program.layout.code_base
         pcs_arr = code_base + 4 * idx
         pcs = pcs_arr.tolist()
@@ -280,23 +272,17 @@ class ReplayImage:
         if n:
             np.cumsum(cyc, out=cum[1:])
         self.cum_cycles = cum
-        self.memops = memops
+        self._memops = None
         self.pcs = pcs
-        self._mem_positions = positions
+        self._mem_positions = mem_positions.tolist()
         self._mem_kinds = kinds
         self._mem_addrs = trace.mem_addrs.astype(np.int64)
         self._mem_values = values
-        self._geom_layouts = {}
         self._fwd_amounts = {}
         self._ovh_amounts = {}
         self._span_support = None
         self._span_geoms = {}
         self._span_tables = {}
-        # Computed here (the trace itself is not retained): names this
-        # image's derived artifacts, e.g. on-disk epoch scripts.
-        self._content_digest = hashlib.sha256(
-            trace.digest_material()
-        ).hexdigest()
         self._epoch_scripts = {}
         self._boundary_positions = {}
 
@@ -319,45 +305,23 @@ class ReplayImage:
             self._boundary_positions[key] = cached
         return cached
 
-    def content_digest(self):
-        """SHA-256 of the recorded trace's content (the same digest the
-        trace store names blobs by) — the anchor for content-addressed
-        derived artifacts such as epoch scripts."""
-        return self._content_digest
-
-    def mem_layout(self, block_mask, set_shift, set_mask):
-        """Per-step memory ops with cache geometry precomputed.
-
-        For a cached architecture's ``(block_mask, set_shift,
-        set_mask)`` geometry, returns a per-step list whose memory
-        entries are ``(kind, addr, block_addr, set_index, word_index,
-        value)`` — the fields the turbo hit path would otherwise
-        recompute per access.  Cached per geometry; every architecture
-        of a sweep with the same cache shape shares one layout.
-        """
-        key = (block_mask, set_shift, set_mask)
-        cached = self._geom_layouts.get(key)
-        if cached is not None:
-            return cached
-        addrs = self._mem_addrs
-        blocks = addrs & ~int(block_mask)
-        set_idx = (blocks >> set_shift) & set_mask
-        words = (addrs & block_mask) >> 2
-        layout = [None] * self.steps
-        for pos, tup in zip(
-            self._mem_positions,
-            zip(
-                self._mem_kinds.tolist(),
-                addrs.tolist(),
-                blocks.tolist(),
-                set_idx.tolist(),
-                words.tolist(),
-                self._mem_values.tolist(),
-            ),
-        ):
-            layout[pos] = tup
-        self._geom_layouts[key] = layout
-        return layout
+    @property
+    def memops(self):
+        """Per-step ``(kind, addr, value)`` memory ops (None off memory
+        steps), for the loops that call the architecture's own
+        ``load``/``store`` (uncached or custom-access architectures
+        such as HOOP, and hooked runs).  Built on first use: cached
+        turbo runs read :meth:`span_geometry`'s ``mstep`` instead."""
+        memops = self._memops
+        if memops is None:
+            memops = self._memops = [None] * self.steps
+            for pos, tup in zip(
+                self._mem_positions,
+                zip(self._mem_kinds.tolist(), self._mem_addrs.tolist(),
+                    self._mem_values.tolist()),
+            ):
+                memops[pos] = tup
+        return memops
 
     def span_support(self):
         """Geometry-independent arrays for vectorized span replay.
@@ -394,9 +358,13 @@ class ReplayImage:
         ``nblocks``, ``id_of_block`` (block address -> id),
         ``is_byte`` / ``is_store`` masks, and ``mstep`` — the per-step
         memory tuple (None off memory steps) ``(kind, block_id,
-        set_index, word_index, value, byte_offset)`` that the scalar
-        window and the compiled executor's commit pass both read; the
-        byte offset within the block is what a byte hit writes.
+        set_index, word_index, value, byte_offset, addr)`` that the
+        scalar window, the compiled executor's commit pass and the
+        turbo general body all read; the byte offset within the block
+        is what a byte hit writes, and ``addr - byte_offset`` is the
+        block address a miss fills.  Cached per geometry, so every
+        architecture of a sweep with the same cache shape shares one
+        table.
         """
         key = (block_mask, set_shift, set_mask)
         cached = self._span_geoms.get(key)
@@ -422,6 +390,7 @@ class ReplayImage:
                 words.tolist(),
                 self._mem_values.tolist(),
                 offsets.tolist(),
+                addrs.tolist(),
             ),
         ):
             mstep[pos] = tup

@@ -9,6 +9,7 @@ from repro.policies.jit import JitPolicy
 from repro.policies.spendthrift import (
     LABEL_MARGIN,
     SpendthriftPolicy,
+    default_model,
     train_spendthrift_model,
 )
 from repro.policies.watchdog import WatchdogPolicy
@@ -191,6 +192,43 @@ def test_spendthrift_training_is_bit_identical_to_fresh_temporaries(kwargs):
     assert model.bias1.tobytes() == b1.tobytes()
     assert model.weights2.tobytes() == w2.tobytes()
     assert np.float64(model.bias2).tobytes() == np.float64(b2).tobytes()
+
+
+def _weight_literals(model):
+    """``model``'s weights as the ``repr`` literals spendthrift.py ships."""
+    def row(values):
+        return "(" + ", ".join(repr(float(v)) for v in values) + ",)"
+
+    return "\n".join([
+        "_WEIGHTS1 = (" + ", ".join(row(r) for r in model.weights1) + ")",
+        "_BIAS1 = " + row(model.bias1),
+        "_WEIGHTS2 = " + row(model.weights2),
+        f"_BIAS2 = {float(model.bias2)!r}",
+    ])
+
+
+def test_shipped_spendthrift_weights_match_offline_training():
+    """The weights ``default_model()`` serves are exactly what
+    ``train_spendthrift_model()`` produces with its defaults.
+
+    Spendthrift runs never train: they load these committed literals,
+    which also makes their results independent of the host BLAS's
+    rounding.  This test is where the two meet — if the training
+    recipe changes, paste the printed literals into spendthrift.py.
+    """
+    trained, accuracy = train_spendthrift_model()
+    shipped = default_model()
+    fresh = _weight_literals(trained)
+    assert isinstance(shipped.bias2, np.float64)
+    for name in ("weights1", "bias1", "weights2"):
+        got, want = getattr(shipped, name), getattr(trained, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), (
+            f"shipped {name} differs from a fresh training run; "
+            f"new literals:\n{fresh}")
+    assert shipped.bias2.tobytes() == np.float64(trained.bias2).tobytes(), (
+        f"shipped bias2 differs; new literals:\n{fresh}")
+    assert accuracy == 0.9565
 
 
 def test_spendthrift_model_separates_clear_cases():

@@ -15,17 +15,20 @@ equivalence holds on inputs no benchmark happens to produce:
   RNG draws and counter mutations included,
 * the task policy's cycle-budget guard, revoked at every call
   boundary, == ``after_step`` on every step,
-* a corrupted stored script reads as a miss and is rebuilt, never
-  replayed silently.
+* epoch scripts are in-memory data: rebuilt ones replay bit for bit,
+  and a cold sweep writes none to disk.
 """
-
-import zipfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.engine import (
+    ExperimentSettings,
+    clear_run_cache,
+    run_experiment,
+)
 from repro.energy.traces import HarvestTrace
 from repro.policies.base import PolicyAction, guard_trip_step
 from repro.policies.jit import JitPolicy
@@ -35,9 +38,14 @@ from repro.policies.spendthrift import (
     default_model,
 )
 from repro.policies.task import TaskBoundaryPolicy
-from repro.sim import epochs
+from repro.sim import epochs, replay
 from repro.sim.platform import Platform, PlatformConfig
-from repro.sim.replay import ReplayPlatform, get_image, guard_kernels_enabled
+from repro.sim.replay import (
+    ReplayPlatform,
+    clear_replay_caches,
+    get_image,
+    guard_kernels_enabled,
+)
 from repro.workloads import load_program
 
 
@@ -364,66 +372,67 @@ def test_task_guard_matches_after_step_on_every_step(steps, min_task, extra):
         assert fast._boundary_seen == ref._boundary_seen
 
 
-# ------------------------------------------- corrupted script == miss
-def test_corrupted_script_reads_as_miss(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_RUN_CACHE", "1")
-    monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
-    key = epochs.script_key("deadbeef", (1, 2, 3), (1.0, 2.0, 3.0, None, None))
-    path = epochs._scripts().path(key)
-    # Absent entry: a miss.
-    assert epochs.fetch_script("deadbeef", (1, 2, 3),
-                               (1.0, 2.0, 3.0, None, None)) is None
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # Garbage bytes: not a zip at all.
-    path.write_bytes(b"\x00garbage\xff" * 64)
-    assert epochs.fetch_script("deadbeef", (1, 2, 3),
-                               (1.0, 2.0, 3.0, None, None)) is None
-    # A valid zip with the wrong member set: still a miss, not a crash.
-    with zipfile.ZipFile(path, "w") as zf:
-        zf.writestr("not_a_script.txt", "hello")
-    assert epochs.fetch_script("deadbeef", (1, 2, 3),
-                               (1.0, 2.0, 3.0, None, None)) is None
-    # A stale version stamp: rebuilt, never silently replayed.
-    buf_path = tmp_path / "stale.npz"
-    np.savez(buf_path, meta=np.asarray([epochs.EPOCH_SCRIPT_VERSION + 1,
-                                        0, 0, 0, 0], dtype=np.int64))
-    path.write_bytes(buf_path.read_bytes())
-    assert epochs.fetch_script("deadbeef", (1, 2, 3),
-                               (1.0, 2.0, 3.0, None, None)) is None
-
-
-def test_corrupted_store_rebuilds_bit_identically(tmp_path, monkeypatch):
-    """End to end: poison every stored script mid-sweep; the rebuilt
-    compiled replay must still match the scalar replay bit for bit."""
-    monkeypatch.setenv("REPRO_RUN_CACHE", "1")
-    monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
+# ------------------------------------------ in-memory epoch scripts
+def test_rebuilt_scripts_replay_bit_identically():
+    """Scripts are data derived from the image: dropping the image's
+    script LRU mid-sweep and lowering afresh yields equal arrays, and
+    every compiled replay still matches the scalar replay bit for
+    bit."""
     program = load_program("hist")
     image = get_image("hist")
-    # Earlier tests may have populated the image's in-memory script LRU
-    # under the real store; drop it so this run goes through the
-    # redirected disk store.
-    image._epoch_scripts.clear()
-    config = PlatformConfig(arch="nvmr", policy="jit")
 
-    def run(compiled):
+    def run(config, compiled):
         platform = ReplayPlatform(
             program, image, config, trace=HarvestTrace(0),
             benchmark_name="hist", compiled=compiled,
         )
         return platform.run(), platform
 
-    scalar_result, scalar_platform = run(False)
-    first_result, _ = run(True)
-    script_files = list((tmp_path / "traces").rglob("*.npz"))
-    assert script_files  # the run persisted at least one script
-    for stored in script_files:
-        stored.write_bytes(b"PK\x03\x04 not really")
-    image._epoch_scripts.clear()  # drop the in-memory LRU too
-    second_result, second_platform = run(True)
-    for name in scalar_result.__dataclass_fields__:
-        assert getattr(second_result, name) == getattr(first_result, name)
-        assert getattr(second_result, name) == getattr(scalar_result, name)
-    assert second_platform.nvm._words == scalar_platform.nvm._words
+    for arch, policy in (("nvmr", "jit"), ("clank", "spendthrift"),
+                         ("nvmr", "watchdog")):
+        config = PlatformConfig(arch=arch, policy=policy)
+        scalar_result, scalar_platform = run(config, False)
+        first_result, _ = run(config, True)
+        built = dict(image._epoch_scripts)
+        image._epoch_scripts.clear()
+        second_result, second_platform = run(config, True)
+        assert image._epoch_scripts  # this run lowered its scripts again
+        assert image._epoch_scripts.keys() <= built.keys()
+        for key, new in image._epoch_scripts.items():
+            old = built[key]
+            assert new is not old
+            for slot in epochs.EpochScript.__slots__:
+                a, b = getattr(old, slot), getattr(new, slot)
+                if isinstance(a, np.ndarray):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), slot
+                elif slot != "cyc_cum_py":  # lazily materialised list
+                    assert a == b, slot
+        for name in scalar_result.__dataclass_fields__:
+            assert getattr(second_result, name) == getattr(first_result, name)
+            assert getattr(second_result, name) == getattr(scalar_result,
+                                                           name)
+        assert second_platform.nvm._words == scalar_platform.nvm._words
+
+
+def test_cold_experiment_writes_no_scripts(tmp_path, monkeypatch):
+    """A cold sweep persists its traces and run records but no epoch
+    scripts: those are built in memory by each process that replays."""
+    monkeypatch.setenv("REPRO_RUN_CACHE", "1")
+    monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
+    monkeypatch.setenv("REPRO_REPLAY_COMPILED", "1")
+    clear_run_cache()
+    clear_replay_caches()
+    try:
+        run = run_experiment("fig10", settings=ExperimentSettings.smoke(),
+                             workers=1)
+        built = sum(len(image._epoch_scripts)
+                    for _program, image in replay._image_cache.values())
+    finally:
+        clear_run_cache()
+    assert run.complete
+    assert built  # the sweep did lower epoch scripts
+    assert (tmp_path / "traces" / "blobs").is_dir()  # traces persisted
+    assert not (tmp_path / "traces" / "scripts").exists()
 
 
 # -------------------------------------------- kernel knob + executors
